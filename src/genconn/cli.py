@@ -1,7 +1,8 @@
 """Command-line front end: solve, reduce, verify.
 
 Exit codes: 0 success, 1 verification found equivalence failures,
-2 parse/validation error, 3 guard refusal.  stdout carries exactly the
+2 parse/validation error, 3 guard refusal, 4 internal error (any other
+exception, reported with its traceback on stderr).  stdout carries exactly the
 machine-readable result; diagnostics go to stderr.  The environment
 variable ``GENCONN_FORCE=1`` overrides the desk-scale size guards (the
 random seed can only be set by flag, never by environment).
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -203,6 +205,12 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, io.FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only on this path: it adds to every start-up
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,6 +16,13 @@ and every color must still be able to connect the terminals through its
 own plus unassigned items.  Maxima are computed by raising l until the
 decision fails.  Branch order is fixed, so values and witnesses are
 deterministic.
+
+Before any search, ``bounds.packing_upper_bound`` tries three polynomial
+upper bounds on the packing number, cheapest first: the least terminal
+degree, the nearest-terminal partition bound of Nash-Williams and Tutte,
+and the least Menger edge cut from the first terminal.  A decision above
+their least is answered no without searching, and a maximum never
+searches above it.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .graphs import (
     _reachable_mask,
     is_connected,
 )
+from .bounds import _edge_flow, _vertex_flow, packing_upper_bound
 from .trees import _check_terminals, _mask_of
 
 SUBSET_GUARD_MAX_N = 16  # kappa_k/lambda_k refuse larger graphs without force
@@ -414,9 +422,6 @@ def _search_packing(
         return None
     if l == 1:
         return [_first_tree(g, terminals, vmask, emask)]
-    inc = g.incident
-    if min((inc[t] & emask).bit_count() for t in terminals) < l:
-        return None
     if vertex_mode:
         return _search_kappa(g, s_mask, terminals, l, vmask, emask)
     return _search_lambda(g, s_mask, terminals, l, vmask, emask)
@@ -431,7 +436,7 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
     if s_mask & ~reached:
         return PackingResult(0, ())
     witness = [_first_tree(g, terminals, vmask, emask)]
-    ub = min((g.incident[t] & emask).bit_count() for t in terminals)
+    ub = packing_upper_bound(g, terminals)
     l = 2
     while l <= ub:
         found = _search_packing(g, s_mask, terminals, l, vertex_mode, vmask, emask)
@@ -450,6 +455,8 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     terminals = _check_terminals(g, s)
     if l == 0:
         return True
+    if packing_upper_bound(g, terminals, l) < l:
+        return False
     s_mask = _mask_of(terminals)
     found = _search_packing(
         g, s_mask, terminals, l, vertex_mode, g.all_vertices_mask, g.all_edges_mask
@@ -511,69 +518,6 @@ def lambda_k(g: Graph, k: int, force: bool = False) -> int:
 
 # ---------------------------------------------------------------------------
 # Classical connectivity baselines (unit-capacity max-flow)
-
-
-def _max_flow(num_nodes: int, arcs: list[tuple[int, int, int]], s: int, t: int) -> int:
-    """Edmonds-Karp on an explicit arc list; arcs are (u, v, capacity)."""
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v, c in arcs:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    flow = 0
-    while True:
-        prev_arc = [-1] * num_nodes
-        prev_arc[s] = -2
-        queue = [s]
-        head = 0
-        while head < len(queue) and prev_arc[t] == -1:
-            u = queue[head]
-            head += 1
-            for a in adj[u]:
-                v = to[a]
-                if cap[a] > 0 and prev_arc[v] == -1:
-                    prev_arc[v] = a
-                    queue.append(v)
-        if prev_arc[t] == -1:
-            return flow
-        bottleneck = 1 << 60
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            bottleneck = min(bottleneck, cap[a])
-            v = to[a ^ 1]
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        flow += bottleneck
-
-
-def _vertex_flow(g: Graph, s: int, t: int) -> int:
-    """Maximum internally disjoint s-t paths: vertex-split unit-cap flow."""
-    big = g.n
-    arcs = []
-    for v in range(g.n):
-        arcs.append((2 * v, 2 * v + 1, big if v in (s, t) else 1))
-    for u, v in g.edges:
-        arcs.append((2 * u + 1, 2 * v, 1))
-        arcs.append((2 * v + 1, 2 * u, 1))
-    return _max_flow(2 * g.n, arcs, 2 * s + 1, 2 * t)
-
-
-def _edge_flow(g: Graph, s: int, t: int) -> int:
-    arcs = []
-    for u, v in g.edges:
-        arcs.append((u, v, 1))
-        arcs.append((v, u, 1))
-    return _max_flow(g.n, arcs, s, t)
 
 
 def classical_kappa(g: Graph) -> int:

@@ -47,6 +47,28 @@ def _spans_connected(edges, vs) -> bool:
     return seen == vs
 
 
+def is_edge_packing(g: Graph, s: tuple[int, ...], trees) -> bool:
+    """True iff every member of ``trees``, an edge list, is an S-tree of g
+    (graph edges only, spanning S, connected and acyclic) and no two
+    members share an edge."""
+    host = set(g.edges)
+    used: set = set()
+    for edges in trees:
+        es = {(min(u, v), max(u, v)) for u, v in edges}
+        vs = {x for e in es for x in e}
+        if (
+            len(es) != len(edges)
+            or not es <= host
+            or es & used
+            or not set(s) <= vs
+            or len(es) != len(vs) - 1
+            or not _spans_connected(es, vs)
+        ):
+            return False
+        used |= es
+    return True
+
+
 def minimal_stein_trees(g: Graph, s: tuple[int, ...]) -> list[tuple[frozenset, frozenset]]:
     """The S-trees every leaf of which is a terminal."""
     out = []

@@ -79,6 +79,18 @@ class TestSolve:
         assert main(["solve", "kappa", "-g", str(f)]) == 2
         assert "self-loop" in capsys.readouterr().err
 
+    def test_internal_error_exit_code(self, p3, capsys, monkeypatch):
+        from genconn import solver
+
+        def broken(g, s):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(solver, "lambda_set", broken)
+        assert main(["solve", "lambda-set", "-g", p3, "-S", "0,2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: internal: RuntimeError: kernel fault" in captured.err
+
 
 class TestReduce:
     def test_3dm_p1_summary(self, tmp_path, capsys):

@@ -2,9 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from genconn import bounds, solver
+from genconn.bounds import packing_upper_bound
 from genconn.graphs import CnfFormula, Graph, GraphError, ThreeDMInstance
+from genconn.reductions import reduce_lambda2_to_lambdal
 from genconn.solver import (
     GuardError,
     classical_kappa,
@@ -186,6 +191,71 @@ class TestPackingAgainstOracle:
                     assert rl.value >= rk.value
                     assert verify_packing_result(g, s, rk, vertex_mode=True)
                     assert verify_packing_result(g, s, rl, vertex_mode=False)
+
+
+class TestPackingUpperBound:
+    def test_bounds_the_oracle_n4(self):
+        # with a limit the result is at most the limit and still bounds
+        # every packing below it
+        for g in gen_connected_graphs(4):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    best = oracles.max_packing(g, s, "edge")
+                    assert packing_upper_bound(g, s) >= best, (g.edges, s)
+                    for l in range(1, 5):
+                        u = packing_upper_bound(g, s, l)
+                        assert min(best, l) <= u <= l, (g.edges, s, l)
+
+    def test_worst_r6_instance_refuted_without_search(self, monkeypatch):
+        # K4 minus an edge, S = V, lifted to l = 4: every proxy has degree 4
+        # and every Menger cut is 4, but the nearest-terminal partition has
+        # 11 cross edges between 4 parts
+        k4_minus = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
+        out = reduce_lambda2_to_lambdal(k4_minus, (0, 1, 2, 3), 4)
+        g, s = out.graph, out.terminals
+        assert (g.n, g.m) == (18, 29)
+        assert bounds._partition_bound(g, s) == 3
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(solver, "_search_lambda", no_search)
+        assert not decide_lambda_set(g, s, 4)
+
+    def test_terminal_free_component(self):
+        # the partition leaves the second triangle out of every part
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        for s in ((0, 1), (0, 1, 2)):
+            best = oracles.max_packing(g, s, "edge")
+            assert lambda_set(g, s).value == best
+            for l in range(best + 2):
+                assert decide_lambda_set(g, s, l) == (l <= best)
+
+
+@st.composite
+def graphs_and_sets(draw):
+    n = draw(st.integers(2, 5))
+    pairs = list(combinations(range(n), 2))
+    edges = tuple(p for p in pairs if draw(st.booleans()))
+    s = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    return Graph(n, edges), tuple(sorted(s))
+
+
+class TestDifferential:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(graphs_and_sets())
+    def test_solver_matches_oracle(self, case):
+        g, s = case
+        for mode, vertex_mode, decide, maximum in (
+            ("vertex", True, decide_kappa_set, kappa_set),
+            ("edge", False, decide_lambda_set, lambda_set),
+        ):
+            best = oracles.max_packing(g, s, mode)
+            for l in range(best + 2):
+                assert decide(g, s, l) == (best >= l), (mode, l)
+            res = maximum(g, s)
+            assert res.value == best
+            assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
 
 
 class TestDecide3DM:

@@ -160,3 +160,21 @@ class TestIsSteinerTree:
 
     def test_accepts_valid(self):
         assert is_steiner_tree(P3, (0, 2), SteinerTree((0, 1, 2), ((0, 1), (1, 2))))
+
+
+class TestEdgePackingOracle:
+    K4_PAIR = [((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3))]
+
+    def test_accepts_disjoint_spanning_trees(self):
+        assert oracles.is_edge_packing(K4, (0, 1, 2, 3), self.K4_PAIR)
+
+    def test_rejects_shared_edge(self):
+        trees = [self.K4_PAIR[0], ((0, 1), (0, 2), (0, 3))]
+        assert not oracles.is_edge_packing(K4, (0, 1, 2, 3), trees)
+
+    def test_rejects_non_trees(self):
+        k5 = Graph(5, tuple(combinations(range(5), 2)))
+        cycle_and_edge = [((0, 1), (1, 2), (0, 2), (3, 4))]  # |E| = |V| - 1
+        assert not oracles.is_edge_packing(k5, (0, 3), cycle_and_edge)
+        assert not oracles.is_edge_packing(P3, (0, 2), [((0, 2),)])
+        assert not oracles.is_edge_packing(P3, (0, 2), [((0, 1),)])

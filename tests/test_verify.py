@@ -3,7 +3,7 @@ import pytest
 import internally_disjoint_r5
 import oracles
 from genconn.graphs import GraphError
-from genconn.solver import GuardError, decide_3sat, decide_lambda_set
+from genconn.solver import GuardError, decide_3sat, decide_lambda_set, lambda_set
 from genconn.reductions import reduce_3sat_to_lambda2
 from genconn.verify import (
     DEFAULT_BUDGETS,
@@ -127,7 +127,9 @@ class TestVerifyReduction:
             out = internally_disjoint_r5.build(phi)
             assert decide_3sat(phi) != decide_lambda_set(out.graph, out.terminals, 2)
             # independent confirmation: the packing genuinely exists
-            assert oracles.max_packing(out.graph, out.terminals, "edge") >= 2
+            trees = [t.edges for t in lambda_set(out.graph, out.terminals).witness]
+            assert len(trees) >= 2
+            assert oracles.is_edge_packing(out.graph, out.terminals, trees)
 
     def test_default_budgets_cover_all_reductions(self):
         assert set(DEFAULT_BUDGETS) == {"R1", "R2", "R3", "R4", "R5", "R6"}
