@@ -12,10 +12,11 @@ from typing import Iterable, Sequence
 
 from .graphs import Graph
 
+# Arc heads, arc capacities, and the arcs leaving each node.
+Network = tuple[list[int], list[int], list[list[int]]]
 
-def _flow_network(
-    num_nodes: int, arcs: Iterable[tuple[int, int, int, int]]
-) -> tuple[list[int], list[int], list[list[int]]]:
+
+def _flow_network(num_nodes: int, arcs: Iterable[tuple[int, int, int, int]]) -> Network:
     """Residual network of arcs (u, v, capacity, reverse capacity): the
     head and capacity of each arc slot, and the slots leaving each node.
     Slot a ^ 1 is the reverse of slot a."""
@@ -32,12 +33,7 @@ def _flow_network(
     return to, cap, adj
 
 
-def _max_flow(
-    network: tuple[list[int], list[int], list[list[int]]],
-    s: int,
-    t: int,
-    limit: int | None = None,
-) -> int:
+def _max_flow(network: Network, s: int, t: int, limit: int | None = None) -> int:
     """Edmonds-Karp on a residual network from ``_flow_network``, which
     it leaves unchanged.  With ``limit`` set, augmenting stops once the
     flow reaches it, so the result is the flow value only when it is
@@ -89,7 +85,7 @@ def _vertex_flow(g: Graph, s: int, t: int) -> int:
     return _max_flow(_flow_network(2 * g.n, arcs), 2 * s + 1, 2 * t)
 
 
-def _edge_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+def _edge_network(g: Graph) -> Network:
     """Unit-capacity network of g: each edge is a pair of opposite arcs,
     each the other's reverse."""
     return _flow_network(g.n, ((u, v, 1, 1) for u, v in g.edges))
