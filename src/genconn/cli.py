@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification found equivalence failures,
 2 parse/validation error, 3 guard refusal, 4 internal error (any other
-exception, reported with its traceback on stderr).  stdout carries exactly the
-machine-readable result; diagnostics go to stderr.  The environment
+exception, reported with its traceback on stderr).  stdout carries
+exactly the machine-readable result; diagnostics go to stderr.  The environment
 variable ``GENCONN_FORCE=1`` overrides the desk-scale size guards (the
 random seed can only be set by flag, never by environment).
 """
