@@ -1,20 +1,28 @@
 """Exact solvers: generalized (edge-)connectivity, classical baselines,
 and brute-force deciders for the three source problems.
 
-The packing decision grows all l trees of a candidate packing at once.
-Each tree is a color; a color owns a set of non-terminal vertices (for
-internally disjoint packings) or a set of edges (for edge-disjoint
-packings), and is satisfied once the terminals are connected through what
-it owns.  The search repeatedly picks the first unsatisfied color and
-branches over which unassigned item attaches to its most constrained
-terminal component, trying items closer to a missing terminal first; a
-tried item is banned from that color in the remaining branches, which
-makes the enumeration exhaustive without duplicates.  Two prunes do the
-heavy lifting: every color still needs a private attachment at every
-terminal (counting argument on the terminal's unassigned neighborhood),
-and every color must still be able to connect the terminals through its
-own plus unassigned items.  Maxima are computed by raising l until the
-decision fails.  Branch order is fixed, so values and witnesses are
+The packing decision grows all l trees of a candidate packing at once in
+one search, ``_search_trees``, for both kinds of packing.  Each tree is a
+color.  Colors own *items* and share everything else, and a color's
+subgraph is the shared part plus its own items:
+
+- internally disjoint packings (kappa): the items are the non-terminal
+  vertices and the terminal-terminal edges; the terminals and all other
+  edges are shared;
+- edge-disjoint packings (lambda): the items are the edges, and every
+  vertex is shared.
+
+A color is satisfied once its subgraph connects the terminals.  The search
+repeatedly picks the first unsatisfied color and branches over which free
+item attaches to its most constrained terminal component, trying items
+closer to a missing terminal first; a tried item is banned from that color
+in the remaining branches, which makes the enumeration exhaustive without
+duplicates.  Prunes: every color still needs a private item at every
+terminal (counting argument on the free items attachable there); every color
+must still be able to connect the terminals through its own plus free
+items; and, for edge-disjoint packings, merging c components of a color
+takes at least c - 1 free edges.  Maxima are computed by raising l until
+the decision fails.  Branch order is fixed, so values and witnesses are
 deterministic.
 
 Before any search, ``bounds.packing_upper_bound`` tries three polynomial
@@ -102,9 +110,9 @@ def _first_tree(g: Graph, terminals: Sequence[int], vmask: int, emask: int) -> t
 def _dist_order(
     g: Graph, sources: int, through: int, emask: int, items: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Sort (id, key_vertex_mask) items by BFS distance of their key
-    vertices from ``sources``, expanding only ``through`` vertices; items
-    that cannot be reached sort last.  Ties break on id."""
+    """Sort (id, key vertex) items by the BFS distance of their key vertex
+    from ``sources``, walking ``emask`` edges into ``through`` vertices;
+    items that cannot be reached sort last.  Ties break on id."""
     inc = g.incident
     edges = g.edges
     dist = {}
@@ -134,223 +142,116 @@ def _dist_order(
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-
-    def key(item: tuple[int, int]) -> tuple[int, int]:
-        best = 1 << 30
-        m = item[1]
-        while m:
-            b = m & -m
-            m ^= b
-            best = min(best, dist.get(b.bit_length() - 1, 1 << 30))
-        return (best, item[0])
-
-    return sorted(items, key=key)
+    return sorted(items, key=lambda item: (dist.get(item[1], 1 << 30), item[0]))
 
 
-def _search_kappa(
+def _search_trees(
     g: Graph,
     s_mask: int,
     terminals: Sequence[int],
     l: int,
+    vertex_mode: bool,
     vmask: int,
     emask: int,
 ) -> list[tuple[int, int]] | None:
-    """l pairwise internally disjoint S-trees of the active subgraph.
+    """l pairwise internally disjoint (``vertex_mode``) or edge-disjoint
+    minimal S-trees of the active subgraph (vmask, emask), or None.
 
-    Colors own non-terminal vertices plus terminal-terminal edges; a
-    color's subgraph is the one induced on the terminals and its vertices,
-    restricted to terminal-terminal edges it owns.
+    Colors own items and share the rest; a color's subgraph is the shared
+    part plus its own items.  An item mask holds vertex x at bit x and edge
+    j at bit ``off + j``; ``off`` is n in vertex mode and 0 in edge mode,
+    where no vertex is an item and an item mask is an edge mask.
     """
+    if l == 0:
+        return []
+    reached = _reachable_mask(g, 1 << terminals[0], vmask, emask)
+    if s_mask & ~reached:
+        return None
+    if l == 1:
+        return [_first_tree(g, terminals, vmask, emask)]
     inc = g.incident
     edges = g.edges
     t0 = terminals[0]
+    if vertex_mode:
+        # Items: the non-terminal vertices and the terminal-terminal edges.
+        edge_items = 0
+        e = emask
+        while e:
+            b = e & -e
+            e ^= b
+            u, v = edges[b.bit_length() - 1]
+            if (s_mask >> u) & 1 and (s_mask >> v) & 1:
+                edge_items |= b
+        adjm = [0] * g.n
+        for j, (u, v) in enumerate(edges):
+            if (emask >> j) & 1 and (vmask >> u) & 1 and (vmask >> v) & 1:
+                adjm[u] |= 1 << v
+                adjm[v] |= 1 << u
+        off = g.n
+        vert_items = vmask & ~s_mask
+        shared_v = s_mask
+        attach = [
+            (adjm[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals
+        ]
+    else:
+        # Items: the edges; every vertex is shared.
+        edge_items = emask
+        off = 0
+        vert_items = 0
+        shared_v = vmask
+        attach = [inc[t] & emask for t in terminals]
+    shared_e = emask & ~edge_items
+    vbits = (1 << off) - 1
 
-    ss_all = 0  # terminal-terminal edges are assignable items of their own
-    e = emask
-    while e:
-        b = e & -e
-        e ^= b
-        j = b.bit_length() - 1
-        u, v = edges[j]
-        if (s_mask >> u) & 1 and (s_mask >> v) & 1:
-            ss_all |= b
-    # Per-vertex adjacency and incidence restricted to the active subgraph.
-    adjm = [0] * g.n
-    for j, (u, v) in enumerate(g.edges):
-        if (emask >> j) & 1 and (vmask >> u) & 1 and (vmask >> v) & 1:
-            adjm[u] |= 1 << v
-            adjm[v] |= 1 << u
+    color = [0] * l
+    ban = [0] * l
+    free = vert_items | (edge_items << off)
 
-    color_v = [0] * l
-    color_ss = [0] * l
-    ban_v = [0] * l
-    ban_ss = [0] * l
-    free = [vmask & ~s_mask, ss_all]  # unassigned vertices, unassigned S-S edges
-    non_ss = emask & ~ss_all
+    def subgraph(items: int) -> tuple[int, int]:
+        """(vertex mask, edge mask) of the shared part plus ``items``."""
+        return shared_v | (items & vbits), shared_e | (items >> off)
 
     def terminal_components(i: int) -> list[int]:
         """Component masks of color i's subgraph, one per terminal group."""
         out = []
+        cv, ce = subgraph(color[i])
         left = s_mask
         while left:
-            b = left & -left
-            reach = _reachable_mask(g, b, s_mask | color_v[i], non_ss | color_ss[i])
+            reach = _reachable_mask(g, left & -left, cv, ce)
             out.append(reach)
             left &= ~reach
         return out
 
     def component_cands(i: int, k: int) -> list[tuple[int, int]]:
-        """(encoded id, key vertex mask) of items attachable to component k
-        for color i; vertices encode as 2x, terminal-terminal edges 2j+1."""
+        """(item bit, key vertex) of the free, unbanned items attachable to
+        component k for color i; an edge is keyed by its endpoint outside k."""
         out = []
-        vm = free[0] & ~ban_v[i]
+        m = free & ~ban[i]
+        vm = m & vbits
         while vm:
             b = vm & -vm
             vm ^= b
             x = b.bit_length() - 1
             if adjm[x] & k:
-                out.append((2 * x, b))
-        sm = free[1] & ~ban_ss[i]
-        while sm:
-            b = sm & -sm
-            sm ^= b
-            j = b.bit_length() - 1
-            u, v = edges[j]
-            if ((k >> u) & 1) != ((k >> v) & 1):
-                out.append((2 * j + 1, (1 << u) | (1 << v)))
-        return out
-
-    def rec() -> list[tuple[int, int]] | None:
-        # Branch on the first unsatisfied color, attaching to whichever of
-        # its components has the fewest candidates (fail-first locally).
-        target = -1
-        target_k = 0
-        best_cands: list[tuple[int, int]] | None = None
-        for i in range(l):
-            comps = terminal_components(i)
-            if len(comps) == 1:
-                continue
-            target = i
-            for k in comps:
-                cands = component_cands(i, k)
-                if best_cands is None or len(cands) < len(best_cands):
-                    target_k, best_cands = k, cands
-                    if not cands:
-                        return None
-            break
-        if target == -1:
-            return [
-                _first_tree(g, terminals, s_mask | color_v[i], non_ss | color_ss[i])
-                for i in range(l)
-            ]
-        assert best_cands is not None
-        # Terminal capacity: every color still needs a private attachment.
-        for t in terminals:
-            have = 0
-            at = adjm[t]
-            it = inc[t] & ss_all
-            for i in range(l):
-                if color_v[i] & at or color_ss[i] & it:
-                    have += 1
-            if l - have > (at & free[0]).bit_count() + (it & free[1]).bit_count():
-                return None
-        # Per-color reachability through own plus unassigned items.
-        for i in range(l):
-            reach = _reachable_mask(
-                g,
-                1 << t0,
-                s_mask | color_v[i] | (free[0] & ~ban_v[i]),
-                non_ss | color_ss[i] | (free[1] & ~ban_ss[i]),
-            )
-            if s_mask & ~reach:
-                return None
-        cands = _dist_order(
-            g,
-            s_mask & ~target_k,
-            (free[0] & ~ban_v[target]) | (s_mask & ~target_k),
-            emask,
-            best_cands,
-        )
-        # Bans are scoped to this node: branch r excludes the items tried
-        # by branches 1..r-1, and the whole set is restored on failure.
-        saved_v = ban_v[target]
-        saved_ss = ban_ss[target]
-        for enc, _key in cands:
-            if enc & 1:
-                j = enc >> 1
-                color_ss[target] |= 1 << j
-                free[1] ^= 1 << j
-                res = rec()
-                free[1] |= 1 << j
-                color_ss[target] ^= 1 << j
-                if res is not None:
-                    return res
-                ban_ss[target] |= 1 << j
-            else:
-                x = enc >> 1
-                color_v[target] |= 1 << x
-                free[0] ^= 1 << x
-                res = rec()
-                free[0] |= 1 << x
-                color_v[target] ^= 1 << x
-                if res is not None:
-                    return res
-                ban_v[target] |= 1 << x
-        ban_v[target] = saved_v
-        ban_ss[target] = saved_ss
-        return None
-
-    return rec()
-
-
-def _search_lambda(
-    g: Graph,
-    s_mask: int,
-    terminals: Sequence[int],
-    l: int,
-    vmask: int,
-    emask: int,
-) -> list[tuple[int, int]] | None:
-    """l pairwise edge-disjoint S-trees of the active subgraph.  Colors own
-    edges; vertices are shared freely."""
-    inc = g.incident
-    edges = g.edges
-    t0 = terminals[0]
-
-    color_e = [0] * l
-    ban_e = [0] * l
-    free = [emask]
-
-    def terminal_components(i: int) -> list[int]:
-        """Component masks of (V, E_i), one per terminal group."""
-        out = []
-        left = s_mask
-        while left:
-            b = left & -left
-            reach = _reachable_mask(g, b, vmask, color_e[i])
-            out.append(reach)
-            left &= ~reach
-        return out
-
-    def component_cands(i: int, k: int) -> list[tuple[int, int]]:
-        """(edge id, outside endpoint mask) of edges attachable to k."""
-        out = []
-        em = free[0] & ~ban_e[i]
+                out.append((x, x))
+        em = m >> off
         while em:
             b = em & -em
             em ^= b
             j = b.bit_length() - 1
             u, v = edges[j]
             if ((k >> u) & 1) != ((k >> v) & 1):
-                out.append((j, 1 << (v if (k >> u) & 1 else u)))
+                out.append((off + j, v if (k >> u) & 1 else u))
         return out
 
     def rec() -> list[tuple[int, int]] | None:
-        # Branch on the first unsatisfied color's most constrained component.
+        nonlocal free
+        # Branch on the first unsatisfied color, attaching to whichever of
+        # its components has the fewest candidates (fail-first locally).
         target = -1
         target_k = 0
         best_cands: list[tuple[int, int]] | None = None
-        needed = 0  # merging c terminal components takes >= c-1 new edges
+        needed = 0  # merging c components takes >= c-1 new edges
         for i in range(l):
             comps = terminal_components(i)
             if len(comps) == 1:
@@ -365,66 +266,46 @@ def _search_lambda(
                     target_k, best_cands = k, cands
                     if not cands:
                         return None
+            if vertex_mode:
+                break  # one vertex can merge many components
         if best_cands is None:
-            return [
-                _first_tree(g, terminals, vmask, color_e[i]) for i in range(l)
-            ]
-        if needed > free[0].bit_count():
+            return [_first_tree(g, terminals, *subgraph(c)) for c in color]
+        if not vertex_mode and needed > free.bit_count():
             return None
-        for t in terminals:
-            it = inc[t] & emask
+        # Terminal capacity: every color still needs a private attachment.
+        for at in attach:
             have = 0
-            for i in range(l):
-                if color_e[i] & it:
+            for c in color:
+                if c & at:
                     have += 1
-            if l - have > (it & free[0]).bit_count():
+            if l - have > (at & free).bit_count():
                 return None
+        # Per-color reachability through own plus unassigned items.
         for i in range(l):
-            reach = _reachable_mask(
-                g, 1 << t0, vmask, color_e[i] | (free[0] & ~ban_e[i])
-            )
+            reach = _reachable_mask(g, 1 << t0, *subgraph(color[i] | (free & ~ban[i])))
             if s_mask & ~reach:
                 return None
+        open_v, open_e = subgraph(free & ~ban[target])
         cands = _dist_order(
-            g, s_mask & ~target_k, vmask & ~target_k, free[0] & ~ban_e[target],
-            best_cands,
+            g, s_mask & ~target_k, open_v & ~target_k, open_e, best_cands
         )
-        saved = ban_e[target]
-        for j, _key in cands:
-            color_e[target] |= 1 << j
-            free[0] ^= 1 << j
+        # Bans are scoped to this node: branch r excludes the items tried
+        # by branches 1..r-1, and the whole set is restored on failure.
+        saved = ban[target]
+        for x, _key in cands:
+            b = 1 << x
+            color[target] |= b
+            free ^= b
             res = rec()
-            free[0] |= 1 << j
-            color_e[target] ^= 1 << j
+            free |= b
+            color[target] ^= b
             if res is not None:
                 return res
-            ban_e[target] |= 1 << j
-        ban_e[target] = saved
+            ban[target] |= b
+        ban[target] = saved
         return None
 
     return rec()
-
-
-def _search_packing(
-    g: Graph,
-    s_mask: int,
-    terminals: Sequence[int],
-    l: int,
-    vertex_mode: bool,
-    vmask: int,
-    emask: int,
-) -> list[tuple[int, int]] | None:
-    """l pairwise-disjoint minimal S-trees of the active subgraph, or None."""
-    if l == 0:
-        return []
-    reached = _reachable_mask(g, 1 << terminals[0], vmask, emask)
-    if s_mask & ~reached:
-        return None
-    if l == 1:
-        return [_first_tree(g, terminals, vmask, emask)]
-    if vertex_mode:
-        return _search_kappa(g, s_mask, terminals, l, vmask, emask)
-    return _search_lambda(g, s_mask, terminals, l, vmask, emask)
 
 
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
@@ -439,7 +320,7 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
     ub = packing_upper_bound(g, terminals)
     l = 2
     while l <= ub:
-        found = _search_packing(g, s_mask, terminals, l, vertex_mode, vmask, emask)
+        found = _search_trees(g, s_mask, terminals, l, vertex_mode, vmask, emask)
         if found is None:
             break
         witness = found
@@ -458,7 +339,7 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     if packing_upper_bound(g, terminals, l) < l:
         return False
     s_mask = _mask_of(terminals)
-    found = _search_packing(
+    found = _search_trees(
         g, s_mask, terminals, l, vertex_mode, g.all_vertices_mask, g.all_edges_mask
     )
     return found is not None

@@ -1,23 +1,19 @@
-"""Enumeration of minimal Steiner trees and the two disjointness predicates.
+"""Steiner-tree predicates and terminal-set helpers.
 
-A *minimal* S-tree is a subtree containing every terminal whose leaves are
-all terminals.  Restricting packing searches to minimal trees is sound:
-pruning non-terminal leaves from any S-tree preserves terminal coverage,
-preserves edge-disjointness, and shrinks the vertex set, so internal
-disjointness is preserved too.  That claim is exercised by the test suite
-(minimality-closure property), not assumed.
+An *S-tree* is a subtree of the host graph containing every terminal; it is
+*minimal* when all its leaves are terminals.  Packing searches may look at
+minimal trees only: pruning non-terminal leaves from any S-tree preserves
+terminal coverage and edge-disjointness and shrinks the vertex set, so
+internal disjointness is preserved too.  The test suite checks that claim
+(minimality closure) against brute-force oracles rather than assuming it.
 
-The growth enumerator below emits each minimal S-tree of the active
-subgraph exactly once.  It extends a partial tree one frontier edge at a
-time; sibling branches ban the edges tried before them, which is what
-makes the enumeration duplicate-free.  Growth stops as soon as all
-terminals are covered: a minimal S-tree never strictly contains another
-tree covering S, so no completed tree has minimal extensions.
+``is_steiner_tree``, ``internally_disjoint`` and ``edge_disjoint`` are the
+predicates every witness is re-verified with.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import Graph, GraphError, SteinerTree, vertex_set
 
@@ -29,127 +25,6 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def grow_minimal_trees(
-    g: Graph,
-    s_mask: int,
-    vmask: int,
-    emask: int,
-    tree_vmask: int,
-    tree_emask: int,
-    banned: int,
-) -> Iterator[tuple[int, int]]:
-    """Yield (vertex mask, edge mask) of every minimal S-tree of the active
-    subgraph (vmask, emask) that extends the given partial tree and avoids
-    ``banned`` edges.
-
-    Frontier edges are tried by ascending distance from their outside
-    endpoint to the nearest uncovered terminal (ties by edge index), so
-    small trees tend to come first; the order is deterministic either way.
-    An outside endpoint that cannot reach any uncovered terminal without
-    passing through the tree can never lie in a valid extension (every
-    branch of a minimal tree ends in a new terminal), so such edges are
-    pruned outright.
-    """
-    inc = g.incident
-    edges = g.edges
-
-    if not (s_mask & ~tree_vmask):
-        # All terminals covered; minimal iff every leaf is a terminal.
-        tv = tree_vmask
-        while tv:
-            b = tv & -tv
-            tv ^= b
-            if (inc[b.bit_length() - 1] & tree_emask).bit_count() == 1 and not (
-                s_mask & b
-            ):
-                return
-        yield tree_vmask, tree_emask
-        return
-
-    allowed = emask & ~banned & ~tree_emask
-
-    # Dead-leaf prune: a non-terminal leaf must still have an outward edge.
-    frontier_cand = 0
-    tv = tree_vmask
-    while tv:
-        b = tv & -tv
-        tv ^= b
-        v = b.bit_length() - 1
-        opts = inc[v] & allowed
-        frontier_cand |= opts
-        if (inc[v] & tree_emask).bit_count() == 1 and not (s_mask & b):
-            ok = False
-            o = opts
-            while o:
-                eb = o & -o
-                o ^= eb
-                x, y = edges[eb.bit_length() - 1]
-                if not ((tree_vmask >> x) & 1) or not ((tree_vmask >> y) & 1):
-                    ok = True
-                    break
-            if not ok:
-                return
-
-    # Multi-source BFS from the uncovered terminals through allowed edges,
-    # never expanding tree vertices: dist[w] is the length of a shortest
-    # usable path from w to a new terminal.
-    dist = [-1] * g.n
-    frontier = []
-    um = s_mask & ~tree_vmask
-    while um:
-        b = um & -um
-        um ^= b
-        t = b.bit_length() - 1
-        dist[t] = 0
-        frontier.append(t)
-    touched_tree = False
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            e = inc[v] & allowed
-            while e:
-                eb = e & -e
-                e ^= eb
-                x, y = edges[eb.bit_length() - 1]
-                w = y if x == v else x
-                if dist[w] == -1 and (vmask >> w) & 1:
-                    dist[w] = d
-                    if (tree_vmask >> w) & 1:
-                        touched_tree = True
-                    else:
-                        nxt.append(w)
-        frontier = nxt
-    if not touched_tree:
-        return
-
-    # Frontier edges: allowed edges with exactly one endpoint in the tree
-    # and a useful outside endpoint.
-    ext = []
-    c = frontier_cand
-    while c:
-        eb = c & -c
-        c ^= eb
-        j = eb.bit_length() - 1
-        x, y = edges[j]
-        xin = (tree_vmask >> x) & 1
-        yin = (tree_vmask >> y) & 1
-        if xin and yin:
-            continue  # chord; can never join any extension tree
-        w = y if xin else x
-        if dist[w] == -1:
-            continue  # cannot reach a new terminal; never part of a valid tree
-        ext.append((dist[w], j, w))
-    ext.sort()
-
-    for _, j, w in ext:
-        yield from grow_minimal_trees(
-            g, s_mask, vmask, emask, tree_vmask | (1 << w), tree_emask | (1 << j), banned
-        )
-        banned |= 1 << j
-
-
 def _check_terminals(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     terminals = vertex_set(s)
     for t in terminals:
@@ -158,24 +33,6 @@ def _check_terminals(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
     if len(terminals) < 2:
         raise GraphError(f"terminal set must have at least two vertices, got {terminals}")
     return terminals
-
-
-def enumerate_steiner_trees(g: Graph, s: Iterable[int]) -> tuple[SteinerTree, ...]:
-    """All minimal S-trees of g, each exactly once, sorted by
-    (edge count, lexicographic edge list).  Empty when the terminals do
-    not lie in one connected component.
-    """
-    terminals = _check_terminals(g, s)
-    s_mask = _mask_of(terminals)
-    root = terminals[0]
-    found = [
-        SteinerTree.from_masks(g, tv, te)
-        for tv, te in grow_minimal_trees(
-            g, s_mask, g.all_vertices_mask, g.all_edges_mask, 1 << root, 0, 0
-        )
-    ]
-    found.sort(key=lambda t: (len(t.edges), t.edges))
-    return tuple(found)
 
 
 def is_steiner_tree(g: Graph, s: Iterable[int], tree: SteinerTree) -> bool:

@@ -100,30 +100,6 @@ def prune_to_minimal(tree: tuple[frozenset, frozenset], s: tuple[int, ...]
             es.discard(deg[v][0])
 
 
-def all_simple_paths(g: Graph, u: int, v: int) -> list[frozenset]:
-    """Edge sets of all simple u-v paths, by DFS over neighbor lists."""
-    adj: dict[int, list[int]] = {x: [] for x in range(g.n)}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    out: list[frozenset] = []
-
-    def walk(x: int, visited: set[int], edges: list[tuple[int, int]]) -> None:
-        if x == v:
-            out.append(frozenset(edges))
-            return
-        for y in adj[x]:
-            if y not in visited:
-                visited.add(y)
-                edges.append((min(x, y), max(x, y)))
-                walk(y, visited, edges)
-                edges.pop()
-                visited.remove(y)
-
-    walk(u, {u}, [])
-    return out
-
-
 def problem1_by_permutations(g: Graph) -> bool:
     """Rainbow connected partition decision by scanning all ways to match
     the three parts (feasible for part size <= 4)."""

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -9,7 +10,7 @@ import oracles
 from genconn import bounds, solver
 from genconn.bounds import packing_upper_bound
 from genconn.graphs import CnfFormula, Graph, GraphError, ThreeDMInstance
-from genconn.reductions import reduce_lambda2_to_lambdal
+from genconn.reductions import reduce_lambda2_to_lambdal, reduce_lambda_to_kappa
 from genconn.solver import (
     GuardError,
     classical_kappa,
@@ -172,6 +173,31 @@ class TestDeterminism:
                 assert kappa_set(g, s) == kappa_set(g, s)
                 assert lambda_set(g, s) == lambda_set(g, s)
 
+    def test_witnesses_pinned_n4(self):
+        # values and witnesses of kappa, lambda and kappa on the line-graph
+        # augmentation, for every connected graph with n <= 4 and every S;
+        # a change of search order shows up here even when values agree
+        h = hashlib.sha256()
+        for g in gen_connected_graphs(4):
+            if g.n < 2:
+                continue
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    aug = reduce_lambda_to_kappa(g, s)
+                    for r in (
+                        kappa_set(g, s),
+                        lambda_set(g, s),
+                        kappa_set(aug.graph, aug.terminals),
+                    ):
+                        h.update(
+                            repr(
+                                (r.value, tuple((t.vertices, t.edges) for t in r.witness))
+                            ).encode()
+                        )
+        assert h.hexdigest() == (
+            "b3dba22e91ff66b5941313142d461f40ca36e11ea436f07867836acc156a376d"
+        )
+
 
 class TestPackingAgainstOracle:
     def test_all_n4_and_sampled_n5(self):
@@ -219,7 +245,7 @@ class TestPackingUpperBound:
         def no_search(*args):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(solver, "_search_lambda", no_search)
+        monkeypatch.setattr(solver, "_search_trees", no_search)
         assert not decide_lambda_set(g, s, 4)
 
     def test_terminal_free_component(self):

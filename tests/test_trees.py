@@ -6,8 +6,8 @@ import pytest
 import oracles
 from genconn.graphs import Graph, GraphError, SteinerTree
 from genconn.trees import (
+    _check_terminals,
     edge_disjoint,
-    enumerate_steiner_trees,
     internally_disjoint,
     is_steiner_tree,
 )
@@ -18,88 +18,46 @@ P3 = Graph(3, ((0, 1), (1, 2)))
 K4 = Graph(4, tuple(combinations(range(4), 2)))
 
 
-class TestEnumeration:
-    def test_k3_two_terminals(self):
-        trees = enumerate_steiner_trees(K3, (0, 1))
-        assert trees == (
-            SteinerTree((0, 1), ((0, 1),)),
-            SteinerTree((0, 1, 2), ((0, 2), (1, 2))),
-        )
+def minimal_trees(g: Graph, s: tuple[int, ...]) -> list[SteinerTree]:
+    """The oracle's minimal S-trees as SteinerTree values."""
+    return [
+        SteinerTree(tuple(sorted(vs)), tuple(sorted(es)))
+        for vs, es in oracles.minimal_stein_trees(g, s)
+    ]
 
-    def test_p3_unique_path(self):
-        trees = enumerate_steiner_trees(P3, (0, 2))
-        assert trees == (SteinerTree((0, 1, 2), ((0, 1), (1, 2))),)
+
+class TestEnumeration:
+    """The oracles' S-trees, and the terminal check of the trees module."""
 
     def test_k4_spanning_trees(self):
-        trees = enumerate_steiner_trees(K4, (0, 1, 2, 3))
-        assert len(trees) == 16
-        assert len(trees) == len(oracles.minimal_stein_trees(K4, (0, 1, 2, 3)))
+        # Cayley: K4 has 4^2 spanning trees, all minimal for S = V
+        assert len(oracles.minimal_stein_trees(K4, (0, 1, 2, 3))) == 16
 
     def test_terminal_outside_graph(self):
         with pytest.raises(GraphError, match="outside"):
-            enumerate_steiner_trees(K3, (0, 7))
-
-    def test_split_terminals_empty(self):
-        g = Graph(4, ((0, 1), (2, 3)))
-        assert enumerate_steiner_trees(g, (0, 2)) == ()
-
-    def test_sorted_by_size_then_edges(self):
-        trees = enumerate_steiner_trees(K4, (0, 1))
-        sizes = [len(t.edges) for t in trees]
-        assert sizes == sorted(sizes)
-        for a, b in zip(trees, trees[1:]):
-            assert (len(a.edges), a.edges) < (len(b.edges), b.edges)
-
-    def test_matches_naive_enumeration(self):
-        for g in gen_connected_graphs(4):
-            if g.n < 2:
-                continue
-            for size in range(2, g.n + 1):
-                for s in combinations(range(g.n), size):
-                    got = {
-                        (t.vertices, t.edges) for t in enumerate_steiner_trees(g, s)
-                    }
-                    want = {
-                        (tuple(sorted(vs)), tuple(sorted(es)))
-                        for vs, es in oracles.minimal_stein_trees(g, s)
-                    }
-                    assert got == want, (g.edges, s)
-
-    def test_two_terminals_are_simple_paths(self):
-        for g in gen_connected_graphs(4):
-            if g.n < 2:
-                continue
-            for s in combinations(range(g.n), 2):
-                got = {t.edges for t in enumerate_steiner_trees(g, s)}
-                want = {
-                    tuple(sorted(p)) for p in oracles.all_simple_paths(g, s[0], s[1])
-                }
-                assert got == want
+            _check_terminals(K3, (0, 7))
 
     def test_minimality_closure_exhaustive_n5(self):
-        # pruning any S-tree's non-terminal leaves lands in the enumeration;
+        # pruning any S-tree's non-terminal leaves gives a minimal S-tree;
         # exhaustive over every connected graph with n <= 5 and every S
         for g in gen_connected_graphs(5):
             if g.n < 2:
                 continue
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
-                    enumerated = {
-                        (frozenset(t.vertices), frozenset(t.edges))
-                        for t in enumerate_steiner_trees(g, s)
-                    }
+                    minimal = set(oracles.minimal_stein_trees(g, s))
                     for tree in oracles.all_stein_trees(g, s):
-                        assert oracles.prune_to_minimal(tree, s) in enumerated
+                        assert oracles.prune_to_minimal(tree, s) in minimal
 
 
 class TestPredicates:
     def test_tree_vs_itself(self):
-        t = enumerate_steiner_trees(K3, (0, 1))[0]
+        t = minimal_trees(K3, (0, 1))[0]
         assert not internally_disjoint(t, t, (0, 1))
         assert not edge_disjoint(t, t)
 
     def test_k3_pair_internally_disjoint(self):
-        t1, t2 = enumerate_steiner_trees(K3, (0, 1))
+        t1, t2 = minimal_trees(K3, (0, 1))
         assert internally_disjoint(t1, t2, (0, 1))
         assert edge_disjoint(t1, t2)
 
@@ -110,7 +68,7 @@ class TestPredicates:
         assert not internally_disjoint(via2, star3, (0, 1))
 
     def test_k3_spanning_trees_not_edge_disjoint(self):
-        trees = enumerate_steiner_trees(K3, (0, 1, 2))
+        trees = minimal_trees(K3, (0, 1, 2))
         for t1, t2 in combinations(trees, 2):
             assert not edge_disjoint(t1, t2)  # 3 edges cannot host two 2-edge trees
 
@@ -122,14 +80,14 @@ class TestPredicates:
         assert is_steiner_tree(K4, (0, 1, 2, 3), t2)
 
     def test_implication_exhaustive_n5(self):
-        # internally disjoint implies edge disjoint, over every enumerated
-        # pair of every connected graph with n <= 5 and every S
+        # internally disjoint implies edge disjoint, over every pair of
+        # minimal trees of every connected graph with n <= 5 and every S
         for g in gen_connected_graphs(5):
             if g.n < 2:
                 continue
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
-                    trees = enumerate_steiner_trees(g, s)
+                    trees = minimal_trees(g, s)
                     for t1, t2 in combinations(trees, 2):
                         if internally_disjoint(t1, t2, s):
                             assert edge_disjoint(t1, t2)
@@ -140,7 +98,7 @@ class TestPredicates:
         for g in rng.sample(pool, 12):
             for size in (2, 3):
                 for s in combinations(range(g.n), size):
-                    trees = enumerate_steiner_trees(g, s)
+                    trees = minimal_trees(g, s)
                     for t1, t2 in combinations(trees, 2):
                         assert internally_disjoint(t1, t2, s) == internally_disjoint(
                             t2, t1, s
