@@ -10,7 +10,11 @@ import oracles
 from genconn import bounds, solver
 from genconn.bounds import packing_upper_bound
 from genconn.graphs import CnfFormula, Graph, GraphError, ThreeDMInstance
-from genconn.reductions import reduce_lambda2_to_lambdal, reduce_lambda_to_kappa
+from genconn.reductions import (
+    reduce_3dm_to_p1,
+    reduce_lambda2_to_lambdal,
+    reduce_lambda_to_kappa,
+)
 from genconn.solver import (
     GuardError,
     classical_kappa,
@@ -24,9 +28,15 @@ from genconn.solver import (
     kappa_set,
     lambda_k,
     lambda_set,
+    rainbow_connected_triples,
     solve_problem1,
 )
-from genconn.verify import gen_connected_graphs, verify_packing_result
+from genconn.verify import (
+    gen_3dm,
+    gen_balanced_tripartite,
+    gen_connected_graphs,
+    verify_packing_result,
+)
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 P3 = Graph(3, ((0, 1), (1, 2)))
@@ -308,6 +318,68 @@ class TestDecide3DM:
             assert decide_3dm(inst) == want
 
 
+def _p1_family() -> list[Graph]:
+    """The R1 graphs of every matching instance with n <= 2 and m <= 4,
+    then every balanced tripartite graph with q <= 2."""
+    graphs = [reduce_3dm_to_p1(inst)[0] for inst in gen_3dm(2, 4)]
+    for q in (1, 2):
+        graphs.extend(gen_balanced_tripartite(q))
+    return graphs
+
+
+class TestExactCover:
+    def test_empty_universe(self):
+        assert solver._exact_cover(0, []) == ()
+        assert solver._exact_cover(0, [0b1, 0b11]) == ()
+
+    def test_against_subset_scan(self):
+        # small random instances with duplicate rows, empty rows and items
+        # that no row covers; the answer must exist exactly when some set of
+        # rows covers every item once, and must be such a set
+        rng = random.Random(17)
+        for _ in range(400):
+            items = rng.randint(1, 7)
+            universe = (1 << items) - 1
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                if rows and rng.random() < 0.2:
+                    rows.append(rng.choice(rows))
+                else:
+                    rows.append(rng.getrandbits(items) & rng.getrandbits(items))
+            if rng.random() < 0.3:
+                hole = 1 << rng.randrange(items)
+                rows = [r & ~hole for r in rows]
+            covers = [
+                sub
+                for size in range(len(rows) + 1)
+                for sub in combinations(range(len(rows)), size)
+                if sum(rows[i] for i in sub) == universe
+                and all(not rows[i] & rows[j] for i, j in combinations(sub, 2))
+            ]
+            got = solver._exact_cover(universe, rows)
+            if got is None:
+                assert not covers, (universe, rows)
+            else:
+                assert tuple(sorted(got)) in covers, (universe, rows, got)
+
+
+class TestRainbowTriples:
+    def test_against_definition(self):
+        # one vertex per part, carrying at least two of the three edges;
+        # the order is that of the parts' product
+        for g in _p1_family():
+            es = g.edge_set | {(v, u) for u, v in g.edges}
+            pu, pv, pw = g.parts()
+            want = [
+                (u, v, w)
+                for u in pu
+                for v in pv
+                for w in pw
+                if ((u, v) in es) + ((u, w) in es) + ((v, w) in es) >= 2
+            ]
+            assert rainbow_connected_triples(g) == want
+
+
 class TestDecideProblem1:
     def test_rainbow_triangle(self):
         g = Graph(3, ((0, 1), (0, 2), (1, 2)), (0, 1, 2))
@@ -337,6 +409,16 @@ class TestDecideProblem1:
         for q in (1, 2):
             for g in gen_balanced_tripartite(q):
                 assert decide_problem1(g) == oracles.problem1_by_permutations(g)
+
+    def test_partitions_pinned(self):
+        # the partition found, not only its existence, on 4,269 graphs
+        # (2,467 partition); a change of branch order shows up here
+        h = hashlib.sha256()
+        for g in _p1_family():
+            h.update(repr(solve_problem1(g)).encode())
+        assert h.hexdigest() == (
+            "a6c7a433af0733974ed6835a70f55c0a97b752d7f1347680151e229e058a0399"
+        )
 
 
 class TestDecide3Sat:
