@@ -145,53 +145,79 @@ def _dist_order(
     return sorted(items, key=lambda item: (dist.get(item[1], 1 << 30), item[0]))
 
 
+def _vertex_reach(
+    base: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    start: int,
+    vset: int,
+    links: int = 0,
+) -> int:
+    """Vertices of ``vset`` reachable from ``start`` through the vertex
+    adjacency masks ``base`` and the edges whose ids are set in ``links``.
+    Each frontier vertex costs one OR; the links are scanned only when the
+    adjacency walk stalls."""
+    reached = start & vset
+    frontier = reached
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= base[b.bit_length() - 1]
+        frontier = nxt & vset & ~reached
+        if not frontier and links:
+            e = links
+            while e:
+                eb = e & -e
+                e ^= eb
+                u, v = edges[eb.bit_length() - 1]
+                w = (1 << u) | (1 << v)
+                if w & reached:
+                    frontier |= w
+            frontier &= vset & ~reached
+        reached |= frontier
+    return reached
+
+
 def _search_trees(
-    g: Graph,
-    s_mask: int,
-    terminals: Sequence[int],
-    l: int,
-    vertex_mode: bool,
-    vmask: int,
-    emask: int,
+    g: Graph, s_mask: int, terminals: Sequence[int], l: int, vertex_mode: bool
 ) -> list[tuple[int, int]] | None:
-    """l pairwise internally disjoint (``vertex_mode``) or edge-disjoint
-    minimal S-trees of the active subgraph (vmask, emask), or None.
+    """l >= 2 pairwise internally disjoint (``vertex_mode``) or edge-disjoint
+    minimal S-trees of g, or None.
 
     Colors own items and share the rest; a color's subgraph is the shared
     part plus its own items.  An item mask holds vertex x at bit x and edge
     j at bit ``off + j``; ``off`` is n in vertex mode and 0 in edge mode,
-    where no vertex is an item and an item mask is an edge mask.
+    where no vertex is an item and an item mask is an edge mask.  In
+    vertex mode every shared edge has a non-terminal endpoint, so a color's
+    subgraph is the subgraph its vertices induce under ``base`` (the
+    adjacency without terminal-terminal pairs) plus its own edges, and
+    reachability walks vertex adjacency (``_vertex_reach``).
     """
-    if l == 0:
-        return []
-    reached = _reachable_mask(g, 1 << terminals[0], vmask, emask)
-    if s_mask & ~reached:
-        return None
-    if l == 1:
-        return [_first_tree(g, terminals, vmask, emask)]
     inc = g.incident
     edges = g.edges
+    vmask = g.all_vertices_mask
+    emask = g.all_edges_mask
     t0 = terminals[0]
     if vertex_mode:
         # Items: the non-terminal vertices and the terminal-terminal edges.
+        adj = g.adjacency
+        base = list(adj)
         edge_items = 0
-        e = emask
-        while e:
-            b = e & -e
-            e ^= b
-            u, v = edges[b.bit_length() - 1]
-            if (s_mask >> u) & 1 and (s_mask >> v) & 1:
-                edge_items |= b
-        adjm = [0] * g.n
-        for j, (u, v) in enumerate(edges):
-            if (emask >> j) & 1 and (vmask >> u) & 1 and (vmask >> v) & 1:
-                adjm[u] |= 1 << v
-                adjm[v] |= 1 << u
+        for t in terminals:
+            base[t] &= ~s_mask
+            e = inc[t]
+            while e:
+                b = e & -e
+                e ^= b
+                u, v = edges[b.bit_length() - 1]
+                if (s_mask >> u) & 1 and (s_mask >> v) & 1:
+                    edge_items |= b
         off = g.n
         vert_items = vmask & ~s_mask
         shared_v = s_mask
         attach = [
-            (adjm[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals
+            (adj[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals
         ]
     else:
         # Items: the edges; every vertex is shared.
@@ -199,7 +225,7 @@ def _search_trees(
         off = 0
         vert_items = 0
         shared_v = vmask
-        attach = [inc[t] & emask for t in terminals]
+        attach = [inc[t] for t in terminals]
     shared_e = emask & ~edge_items
     vbits = (1 << off) - 1
 
@@ -214,12 +240,20 @@ def _search_trees(
     def terminal_components(i: int) -> list[int]:
         """Component masks of color i's subgraph, one per terminal group."""
         out = []
-        cv, ce = subgraph(color[i])
+        c = color[i]
         left = s_mask
-        while left:
-            reach = _reachable_mask(g, left & -left, cv, ce)
-            out.append(reach)
-            left &= ~reach
+        if vertex_mode:
+            cv = s_mask | (c & vbits)
+            links = c >> off
+            while left:
+                reach = _vertex_reach(base, edges, left & -left, cv, links)
+                out.append(reach)
+                left &= ~reach
+        else:
+            while left:
+                reach = _reachable_mask(g, left & -left, vmask, c)
+                out.append(reach)
+                left &= ~reach
         return out
 
     def component_cands(i: int, k: int) -> list[tuple[int, int]]:
@@ -232,7 +266,7 @@ def _search_trees(
             b = vm & -vm
             vm ^= b
             x = b.bit_length() - 1
-            if adjm[x] & k:
+            if adj[x] & k:
                 out.append((x, x))
         em = m >> off
         while em:
@@ -282,7 +316,13 @@ def _search_trees(
                 return None
         # Per-color reachability through own plus unassigned items.
         for i in range(l):
-            reach = _reachable_mask(g, 1 << t0, *subgraph(color[i] | (free & ~ban[i])))
+            own = color[i] | (free & ~ban[i])
+            if vertex_mode:
+                reach = _vertex_reach(
+                    base, edges, 1 << t0, s_mask | (own & vbits), own >> off
+                )
+            else:
+                reach = _reachable_mask(g, 1 << t0, vmask, own)
             if s_mask & ~reach:
                 return None
         open_v, open_e = subgraph(free & ~ban[target])
@@ -308,19 +348,23 @@ def _search_trees(
     return rec()
 
 
+def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:
+    reached = _reachable_mask(
+        g, 1 << terminals[0], g.all_vertices_mask, g.all_edges_mask
+    )
+    return not s_mask & ~reached
+
+
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
     terminals = _check_terminals(g, s)
     s_mask = _mask_of(terminals)
-    vmask = g.all_vertices_mask
-    emask = g.all_edges_mask
-    reached = _reachable_mask(g, 1 << terminals[0], vmask, emask)
-    if s_mask & ~reached:
+    if not _terminals_connected(g, terminals, s_mask):
         return PackingResult(0, ())
-    witness = [_first_tree(g, terminals, vmask, emask)]
+    witness = [_first_tree(g, terminals, g.all_vertices_mask, g.all_edges_mask)]
     ub = packing_upper_bound(g, terminals)
     l = 2
     while l <= ub:
-        found = _search_trees(g, s_mask, terminals, l, vertex_mode, vmask, emask)
+        found = _search_trees(g, s_mask, terminals, l, vertex_mode)
         if found is None:
             break
         witness = found
@@ -339,10 +383,9 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     if packing_upper_bound(g, terminals, l) < l:
         return False
     s_mask = _mask_of(terminals)
-    found = _search_trees(
-        g, s_mask, terminals, l, vertex_mode, g.all_vertices_mask, g.all_edges_mask
-    )
-    return found is not None
+    if l == 1:
+        return _terminals_connected(g, terminals, s_mask)
+    return _search_trees(g, s_mask, terminals, l, vertex_mode) is not None
 
 
 def kappa_set(g: Graph, s: Iterable[int]) -> PackingResult:
@@ -438,31 +481,70 @@ def classical_lambda(g: Graph) -> int:
 
 def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
     """Indices of rows exactly covering the universe bitmask, or None.
-    Branches on the uncovered item with the fewest covering rows."""
 
-    def rec(remaining: int, avail: list[int]) -> tuple[int, ...] | None:
-        if remaining == 0:
-            return ()
-        best_item = -1
-        best_rows: list[int] = []
+    Knuth's Algorithm X on bitmasks: ``cols[x]`` holds the rows covering
+    item x and ``clash[i]`` the rows meeting row i, so a node's live rows
+    are one int.  Each node branches on the lowest uncovered item with the
+    fewest live rows and tries them in ascending index.  The item scan
+    stops at the first count of 0 or 1: a 0 ends the node with or without
+    the rest of the scan, and a 1 is the minimum.  The search runs on an
+    explicit stack of (uncovered items, live rows, rows left to try)."""
+    cols = [0] * max([universe.bit_length()] + [r.bit_length() for r in rows])
+    for i, row in enumerate(rows):
+        r = row
+        while r:
+            b = r & -r
+            r ^= b
+            cols[b.bit_length() - 1] |= 1 << i
+    clash = []
+    for row in rows:
+        c = 0
+        r = row
+        while r:
+            b = r & -r
+            r ^= b
+            c |= cols[b.bit_length() - 1]
+        clash.append(c)
+
+    def branch_rows(remaining: int, avail: int) -> int:
+        best = -1
+        best_rows = 0
         r = remaining
         while r:
             b = r & -r
             r ^= b
-            covering = [i for i in avail if rows[i] & b]
-            if best_item == -1 or len(covering) < len(best_rows):
-                best_item = b
-                best_rows = covering
-                if not covering:
-                    return None
-        for i in best_rows:
-            row = rows[i]
-            sub = rec(remaining & ~row, [a for a in avail if not (rows[a] & row)])
-            if sub is not None:
-                return (i,) + sub
-        return None
+            covering = cols[b.bit_length() - 1] & avail
+            count = covering.bit_count()
+            if best == -1 or count < best:
+                best, best_rows = count, covering
+                if count <= 1:
+                    break
+        return best_rows
 
-    return rec(universe, list(range(len(rows))))
+    if universe == 0:
+        return ()
+    avail = (1 << len(rows)) - 1
+    stack = [(universe, avail, branch_rows(universe, avail))]
+    chosen: list[int] = []  # the row tried at each frame below the top
+    while stack:
+        remaining, avail, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        b = untried & -untried
+        stack[-1] = (remaining, avail, untried ^ b)
+        i = b.bit_length() - 1
+        rest = remaining & ~rows[i]
+        if not rest:
+            return tuple(chosen) + (i,)
+        sub_avail = avail & ~clash[i]
+        sub_rows = branch_rows(rest, sub_avail)
+        if sub_rows:
+            chosen.append(i)
+            stack.append((rest, sub_avail, sub_rows))
+    return None
 
 
 def decide_3dm(inst: ThreeDMInstance) -> bool:
@@ -476,18 +558,22 @@ def decide_3dm(inst: ThreeDMInstance) -> bool:
 
 def rainbow_connected_triples(g: Graph) -> list[tuple[int, int, int]]:
     """All vertex triples with one vertex per part inducing a connected
-    subgraph (i.e. carrying at least two of the three possible edges)."""
+    subgraph (i.e. carrying at least two of the three possible edges).
+    For a pair (u, v), the third vertex w is any part-3 neighbour of u or v
+    when uv is an edge, and a common part-3 neighbour otherwise."""
     pu, pv, pw = g.parts()
     adj = g.adjacency
+    wmask = _mask_of(pw)
     out = []
     for u in pu:
         au = adj[u]
         for v in pv:
-            uv = (au >> v) & 1
             av = adj[v]
-            for w in pw:
-                if uv + ((au >> w) & 1) + ((av >> w) & 1) >= 2:
-                    out.append((u, v, w))
+            m = (au | av) & wmask if (au >> v) & 1 else au & av & wmask
+            while m:
+                b = m & -m
+                m ^= b
+                out.append((u, v, b.bit_length() - 1))
     return out
 
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 import oracles
 from genconn import bounds, solver
 from genconn.bounds import packing_upper_bound
-from genconn.graphs import CnfFormula, Graph, GraphError, ThreeDMInstance
+from genconn.graphs import (
+    CnfFormula,
+    Graph,
+    GraphError,
+    ThreeDMInstance,
+    _reachable_mask,
+)
 from genconn.reductions import (
     reduce_3dm_to_p1,
     reduce_lambda2_to_lambdal,
@@ -229,6 +235,48 @@ class TestPackingAgainstOracle:
                     assert verify_packing_result(g, s, rl, vertex_mode=False)
 
 
+class TestVertexReach:
+    def test_matches_edge_walk_n5(self):
+        # a kappa color's subgraph: the terminals and its own non-terminal
+        # vertices, every edge with a non-terminal endpoint, and its own
+        # terminal-terminal edges; reachability over vertex adjacency
+        # without terminal-terminal pairs, plus those own edges, must equal
+        # the edge-by-edge walk
+        rng = random.Random(29)
+        for g in gen_connected_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    s_mask = sum(1 << t for t in s)
+                    base = [
+                        a & ~s_mask if (s_mask >> v) & 1 else a
+                        for v, a in enumerate(g.adjacency)
+                    ]
+                    ss_edges = sum(
+                        1 << j
+                        for j, (u, v) in enumerate(g.edges)
+                        if (s_mask >> u) & 1 and (s_mask >> v) & 1
+                    )
+                    shared_e = g.all_edges_mask & ~ss_edges
+                    inner = g.all_vertices_mask & ~s_mask
+                    for _ in range(2):
+                        vset = s_mask | (inner & rng.getrandbits(g.n))
+                        links = ss_edges & rng.getrandbits(g.m)
+                        for t in s:
+                            assert solver._vertex_reach(
+                                base, g.edges, 1 << t, vset, links
+                            ) == _reachable_mask(g, 1 << t, vset, shared_e | links), (
+                                g.edges, s, vset, links,
+                            )
+
+    def test_complete_graphs_all_terminals(self):
+        # with S = V every item is a terminal-terminal edge
+        for g in (K4, K5):
+            s = tuple(range(g.n))
+            res = kappa_set(g, s)
+            assert res.value == oracles.max_packing(g, s, "vertex")
+            assert verify_packing_result(g, s, res, vertex_mode=True)
+
+
 class TestPackingUpperBound:
     def test_bounds_the_oracle_n4(self):
         # with a limit the result is at most the limit and still bounds
@@ -316,6 +364,12 @@ class TestDecide3DM:
                 for pair in combinations(triples, 2)
             )
             assert decide_3dm(inst) == want
+
+    def test_deep_cover_at_default_recursion_limit(self):
+        # 1,200 search levels, above Python's default limit of 1,000
+        triples = tuple((i, i, i) for i in range(1200))
+        assert decide_3dm(ThreeDMInstance(1200, triples))
+        assert not decide_3dm(ThreeDMInstance(1200, ((0, 1, 0),) + triples[1:]))
 
 
 def _p1_family() -> list[Graph]:
