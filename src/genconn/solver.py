@@ -25,6 +25,12 @@ takes at least c - 1 free edges.  Maxima are computed by raising l until
 the decision fails.  Branch order is fixed, so values and witnesses are
 deterministic.
 
+For internally disjoint packings, reachability inside a color walks vertex
+adjacency, one OR per vertex, instead of one edge at a time: every shared
+edge has a non-terminal endpoint, so a color's subgraph is the subgraph
+its vertices induce once terminal-terminal pairs are dropped, plus the
+terminal-terminal edges it owns.  Edge-disjoint packings walk edges.
+
 Before any search, ``bounds.packing_upper_bound`` tries three polynomial
 upper bounds on the packing number, cheapest first: the least terminal
 degree, the nearest-terminal partition bound of Nash-Williams and Tutte,
@@ -349,6 +355,7 @@ def _search_trees(
 
 
 def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:
+    """True iff the terminals lie in one component of g."""
     reached = _reachable_mask(
         g, 1 << terminals[0], g.all_vertices_mask, g.all_edges_mask
     )
@@ -489,7 +496,7 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
     stops at the first count of 0 or 1: a 0 ends the node with or without
     the rest of the scan, and a 1 is the minimum.  The search runs on an
     explicit stack of (uncovered items, live rows, rows left to try)."""
-    cols = [0] * max([universe.bit_length()] + [r.bit_length() for r in rows])
+    cols = [0] * max([universe, *rows]).bit_length()
     for i, row in enumerate(rows):
         r = row
         while r:
