@@ -21,15 +21,11 @@ duplicates.  Prunes: every color still needs a private item at every
 terminal (counting argument on the free items attachable there); every color
 must still be able to connect the terminals through its own plus free
 items; and, for edge-disjoint packings, merging c components of a color
-takes at least c - 1 free edges.  Maxima are computed by raising l until
-the decision fails.  Branch order is fixed, so values and witnesses are
-deterministic.
-
-For internally disjoint packings, reachability inside a color walks vertex
-adjacency, one OR per vertex, instead of one edge at a time: every shared
-edge has a non-terminal endpoint, so a color's subgraph is the subgraph
-its vertices induce once terminal-terminal pairs are dropped, plus the
-terminal-terminal edges it owns.  Edge-disjoint packings walk edges.
+takes at least c - 1 free edges.  A decision stops at the first packing of
+colors; a maximum raises l until the decision fails and turns only the
+last packing into trees.  Branch order is fixed, so values and witnesses
+are deterministic.  ``_search_trees`` describes how a node is computed:
+item masks, candidate masks, cached components and the branch order.
 
 Before any search, ``bounds.packing_upper_bound`` tries three polynomial
 upper bounds on the packing number, cheapest first: the least terminal
@@ -113,12 +109,11 @@ def _first_tree(g: Graph, terminals: Sequence[int], vmask: int, emask: int) -> t
     return tv, te
 
 
-def _dist_order(
-    g: Graph, sources: int, through: int, emask: int, items: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Sort (id, key vertex) items by the BFS distance of their key vertex
-    from ``sources``, walking ``emask`` edges into ``through`` vertices;
-    items that cannot be reached sort last.  Ties break on id."""
+def _dist_order(g: Graph, sources: int, through: int, emask: int, items: int) -> list[int]:
+    """Edge ids set in ``items``, each keyed by its endpoint in ``through``,
+    sorted by the BFS distance of that key from ``sources``, walking
+    ``emask`` edges into ``through`` vertices; items that cannot be reached
+    sort last.  Ties break on id."""
     inc = g.incident
     edges = g.edges
     dist = {}
@@ -148,7 +143,15 @@ def _dist_order(
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
-    return sorted(items, key=lambda item: (dist.get(item[1], 1 << 30), item[0]))
+    keyed = []
+    while items:
+        b = items & -items
+        items ^= b
+        j = b.bit_length() - 1
+        u, v = edges[j]
+        keyed.append((dist.get(u if (through >> u) & 1 else v, 1 << 30), j))
+    keyed.sort()
+    return [j for _d, j in keyed]
 
 
 def _vertex_reach(
@@ -156,7 +159,7 @@ def _vertex_reach(
     edges: Sequence[tuple[int, int]],
     start: int,
     vset: int,
-    links: int = 0,
+    links: int,
 ) -> int:
     """Vertices of ``vset`` reachable from ``start`` through the vertex
     adjacency masks ``base`` and the edges whose ids are set in ``links``.
@@ -188,8 +191,10 @@ def _vertex_reach(
 def _search_trees(
     g: Graph, s_mask: int, terminals: Sequence[int], l: int, vertex_mode: bool
 ) -> list[tuple[int, int]] | None:
-    """l >= 2 pairwise internally disjoint (``vertex_mode``) or edge-disjoint
-    minimal S-trees of g, or None.
+    """The (vertex mask, edge mask) subgraphs of l >= 2 colors, each
+    connecting the terminals, whose items are pairwise disjoint, or None.
+    Each subgraph holds a minimal S-tree (``_first_tree``), and these trees
+    are pairwise internally disjoint (``vertex_mode``) or edge-disjoint.
 
     Colors own items and share the rest; a color's subgraph is the shared
     part plus its own items.  An item mask holds vertex x at bit x and edge
@@ -199,15 +204,26 @@ def _search_trees(
     subgraph is the subgraph its vertices induce under ``base`` (the
     adjacency without terminal-terminal pairs) plus its own edges, and
     reachability walks vertex adjacency (``_vertex_reach``).
+
+    Each color's terminal components are kept in order of least terminal
+    and updated as items join: the components an item touches (its
+    endpoints, or a vertex and its ``base`` neighbours) merge at the place
+    of the first one.  The candidates of a component are a mask: the free,
+    unbanned vertex items next to it (the OR of ``adj`` over it) and edge
+    items leaving it (the XOR of ``inc`` over it).  Vertex mode orders them
+    by BFS layers over ``base`` from the terminals outside the component:
+    terminal-terminal edges first (their outside endpoint is at distance
+    0), then vertices layer by layer, unreached ones last, ties by id.
+    Edge mode orders them with ``_dist_order``.
     """
     inc = g.incident
     edges = g.edges
+    adj = g.adjacency
     vmask = g.all_vertices_mask
     emask = g.all_edges_mask
     t0 = terminals[0]
     if vertex_mode:
         # Items: the non-terminal vertices and the terminal-terminal edges.
-        adj = g.adjacency
         base = list(adj)
         edge_items = 0
         for t in terminals:
@@ -238,80 +254,105 @@ def _search_trees(
     color = [0] * l
     ban = [0] * l
     free = vert_items | (edge_items << off)
+    # Component lists are replaced, never changed in place.
+    comps = [[1 << t for t in terminals]] * l
 
-    def subgraph(items: int) -> tuple[int, int]:
-        """(vertex mask, edge mask) of the shared part plus ``items``."""
-        return shared_v | (items & vbits), shared_e | (items >> off)
-
-    def terminal_components(i: int) -> list[int]:
-        """Component masks of color i's subgraph, one per terminal group."""
-        out = []
-        c = color[i]
-        left = s_mask
-        if vertex_mode:
-            cv = s_mask | (c & vbits)
-            links = c >> off
-            while left:
-                reach = _vertex_reach(base, edges, left & -left, cv, links)
-                out.append(reach)
-                left &= ~reach
+    def merge(cl: list[int], x: int) -> list[int]:
+        """``cl`` after item x joins the color: the components x touches
+        merge into one, at the place of the first."""
+        if x < off:
+            add = 1 << x
+            touch = add | base[x]
         else:
-            while left:
-                reach = _reachable_mask(g, left & -left, vmask, c)
-                out.append(reach)
-                left &= ~reach
+            u, v = edges[x - off]
+            add = touch = (1 << u) | (1 << v)
+        out = []
+        at = -1
+        for c in cl:
+            if c & touch:
+                add |= c
+                if at < 0:
+                    at = len(out)
+                    out.append(0)
+            else:
+                out.append(c)
+        out[at] = add
         return out
 
-    def component_cands(i: int, k: int) -> list[tuple[int, int]]:
-        """(item bit, key vertex) of the free, unbanned items attachable to
-        component k for color i; an edge is keyed by its endpoint outside k."""
-        out = []
-        m = free & ~ban[i]
-        vm = m & vbits
-        while vm:
-            b = vm & -vm
-            vm ^= b
-            x = b.bit_length() - 1
-            if adj[x] & k:
-                out.append((x, x))
-        em = m >> off
-        while em:
-            b = em & -em
-            em ^= b
-            j = b.bit_length() - 1
-            u, v = edges[j]
-            if ((k >> u) & 1) != ((k >> v) & 1):
-                out.append((off + j, v if (k >> u) & 1 else u))
-        return out
+    def component_cands(i: int, k: int) -> int:
+        """Mask of the free items color i may attach to component k: the
+        vertex items next to k and the edge items with one endpoint in k."""
+        near = 0
+        cut = 0
+        m = k
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            near |= adj[v]
+            cut ^= inc[v]
+        return ((near & vbits) | (cut << off)) & free & ~ban[i]
+
+    def kappa_order(k: int, cands: int, open_items: int) -> list[int]:
+        """Vertex-mode branch order of the candidate mask of component k."""
+        order = []
+        e = cands >> off
+        while e:
+            b = e & -e
+            e ^= b
+            order.append(off + b.bit_length() - 1)
+        vc = cands & vbits
+        through = (s_mask | (open_items & vbits)) & ~k
+        frontier = seen = s_mask & ~k
+        while vc and frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= base[b.bit_length() - 1]
+            frontier = nxt & through & ~seen
+            seen |= frontier
+            layer = frontier & vc
+            vc ^= layer
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                order.append(b.bit_length() - 1)
+        while vc:
+            b = vc & -vc
+            vc ^= b
+            order.append(b.bit_length() - 1)
+        return order
 
     def rec() -> list[tuple[int, int]] | None:
         nonlocal free
         # Branch on the first unsatisfied color, attaching to whichever of
         # its components has the fewest candidates (fail-first locally).
         target = -1
-        target_k = 0
-        best_cands: list[tuple[int, int]] | None = None
         needed = 0  # merging c components takes >= c-1 new edges
         for i in range(l):
-            comps = terminal_components(i)
-            if len(comps) == 1:
+            n_comps = len(comps[i])
+            if n_comps == 1:
                 continue
-            needed += len(comps) - 1
-            if target != -1:
-                continue
-            target = i
-            for k in comps:
-                cands = component_cands(i, k)
-                if best_cands is None or len(cands) < len(best_cands):
-                    target_k, best_cands = k, cands
-                    if not cands:
-                        return None
-            if vertex_mode:
-                break  # one vertex can merge many components
-        if best_cands is None:
-            return [_first_tree(g, terminals, *subgraph(c)) for c in color]
+            needed += n_comps - 1
+            if target == -1:
+                target = i
+                if vertex_mode:
+                    break  # one vertex can merge many components
+        if target == -1:
+            return [(shared_v | (c & vbits), shared_e | (c >> off)) for c in color]
         if not vertex_mode and needed > free.bit_count():
             return None
+        target_k = 0
+        cands = 0
+        fewest = -1
+        for k in comps[target]:
+            km = component_cands(target, k)
+            count = km.bit_count()
+            if fewest == -1 or count < fewest:
+                if not count:
+                    return None
+                fewest, target_k, cands = count, k, km
         # Terminal capacity: every color still needs a private attachment.
         for at in attach:
             have = 0
@@ -331,17 +372,22 @@ def _search_trees(
                 reach = _reachable_mask(g, 1 << t0, vmask, own)
             if s_mask & ~reach:
                 return None
-        open_v, open_e = subgraph(free & ~ban[target])
-        cands = _dist_order(
-            g, s_mask & ~target_k, open_v & ~target_k, open_e, best_cands
-        )
+        open_items = free & ~ban[target]
+        if vertex_mode:
+            order = kappa_order(target_k, cands, open_items)
+        else:
+            order = _dist_order(
+                g, s_mask & ~target_k, vmask & ~target_k, open_items, cands
+            )
         # Bans are scoped to this node: branch r excludes the items tried
         # by branches 1..r-1, and the whole set is restored on failure.
         saved = ban[target]
-        for x, _key in cands:
+        saved_comps = comps[target]
+        for x in order:
             b = 1 << x
             color[target] |= b
             free ^= b
+            comps[target] = merge(saved_comps, x)
             res = rec()
             free |= b
             color[target] ^= b
@@ -349,6 +395,7 @@ def _search_trees(
                 return res
             ban[target] |= b
         ban[target] = saved
+        comps[target] = saved_comps
         return None
 
     return rec()
@@ -367,7 +414,7 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
     s_mask = _mask_of(terminals)
     if not _terminals_connected(g, terminals, s_mask):
         return PackingResult(0, ())
-    witness = [_first_tree(g, terminals, g.all_vertices_mask, g.all_edges_mask)]
+    witness = [(g.all_vertices_mask, g.all_edges_mask)]
     ub = packing_upper_bound(g, terminals)
     l = 2
     while l <= ub:
@@ -376,8 +423,9 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
             break
         witness = found
         l += 1
+    trees = (_first_tree(g, terminals, *sub) for sub in witness)
     return PackingResult(
-        len(witness), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in witness)
+        len(witness), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )
 
 

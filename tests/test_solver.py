@@ -20,6 +20,7 @@ from genconn.reductions import (
     reduce_3dm_to_p1,
     reduce_lambda2_to_lambdal,
     reduce_lambda_to_kappa,
+    reduce_p1_to_kappa,
 )
 from genconn.solver import (
     GuardError,
@@ -205,14 +206,60 @@ class TestDeterminism:
                         lambda_set(g, s),
                         kappa_set(aug.graph, aug.terminals),
                     ):
-                        h.update(
-                            repr(
-                                (r.value, tuple((t.vertices, t.edges) for t in r.witness))
-                            ).encode()
-                        )
+                        h.update(_result_repr(r))
         assert h.hexdigest() == (
             "b3dba22e91ff66b5941313142d461f40ca36e11ea436f07867836acc156a376d"
         )
+
+    def test_witnesses_pinned_n5(self):
+        # kappa then lambda for all 19,363 (g, S) pairs with n <= 5
+        h = hashlib.sha256()
+        for g in gen_connected_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    for r in (kappa_set(g, s), lambda_set(g, s)):
+                        h.update(_result_repr(r))
+        assert h.hexdigest() == (
+            "76d00454f1a2d08674b299ce9710994921765ac76d4eda3ffee528f6924d5a36"
+        )
+
+    def test_r2_kappa_witnesses_pinned(self):
+        # kappa with the three apex terminals of R2 on every tripartite
+        # graph with q <= 2 (4,104 graphs); three terminals on 9 vertices
+        # make the search merge components, which n <= 4 never does
+        h = hashlib.sha256()
+        for q in (1, 2):
+            for g in gen_balanced_tripartite(q):
+                out = reduce_p1_to_kappa(g, q)
+                h.update(_result_repr(kappa_set(out.graph, out.terminals)))
+        assert h.hexdigest() == (
+            "f9ae66eb70be6c1cabb4a793183299895113d221d0bf33a57463eebeb09d804d"
+        )
+
+
+    def test_k6_lambda_witnesses_pinned(self):
+        # a color's candidates leave out the items its earlier sibling
+        # branches tried; counting those too picks other components to
+        # attach to and finds other packings here
+        k6 = Graph(6, tuple(combinations(range(6), 2)))
+        assert [t.edges for t in lambda_set(k6, (0, 1)).witness] == [
+            ((0, 1),),
+            ((0, 2), (1, 3), (2, 4), (3, 4)),
+            ((0, 4), (1, 4)),
+            ((0, 5), (1, 5)),
+            ((0, 3), (1, 2), (2, 3)),
+        ]
+        assert [t.edges for t in lambda_set(k6, (0, 4)).witness] == [
+            ((0, 4),),
+            ((0, 1), (1, 3), (2, 3), (2, 4)),
+            ((0, 3), (3, 4)),
+            ((0, 5), (4, 5)),
+            ((0, 2), (1, 2), (1, 4)),
+        ]
+
+
+def _result_repr(r) -> bytes:
+    return repr((r.value, tuple((t.vertices, t.edges) for t in r.witness))).encode()
 
 
 class TestPackingAgainstOracle:
