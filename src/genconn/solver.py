@@ -109,7 +109,9 @@ def _first_tree(g: Graph, terminals: Sequence[int], vmask: int, emask: int) -> t
     return tv, te
 
 
-def _dist_order(g: Graph, sources: int, through: int, emask: int, items: int) -> list[int]:
+def _dist_order(
+    g: Graph, sources: int, through: int, emask: int, items: int
+) -> list[int]:
     """Edge ids set in ``items``, each keyed by its endpoint in ``through``,
     sorted by the BFS distance of that key from ``sources``, walking
     ``emask`` edges into ``through`` vertices; items that cannot be reached

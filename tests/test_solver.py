@@ -236,7 +236,6 @@ class TestDeterminism:
             "f9ae66eb70be6c1cabb4a793183299895113d221d0bf33a57463eebeb09d804d"
         )
 
-
     def test_k6_lambda_witnesses_pinned(self):
         # a color's candidates leave out the items its earlier sibling
         # branches tried; counting those too picks other components to
