@@ -81,38 +81,26 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+_REDUCE_KINDS = {row.kind: row for row in verify.REDUCTIONS.values()}
+
+
 def _cmd_reduce(args) -> int:
-    kind = args.kind
-    label = "l"
-    if kind == "3dm-p1":
-        out = reductions.reduce_3dm_to_p1_with_roles(io.parse_3dm(_read(args.input)))
-        label = "q"
-    elif kind == "p1-kappa":
-        g = io.parse_graph(_read(args.input))
-        out = reductions.reduce_p1_to_kappa(g)
-        label = "q"
-    elif kind == "linegraph":
+    row = _REDUCE_KINDS[args.kind]
+    if row.reads == "graph_and_set":
         g, terminals = _load_graph_and_set(args)
-        if not terminals:
-            raise GraphError("linegraph requires -S or a 'set' line in the graph file")
-        out = reductions.reduce_lambda_to_kappa(g, terminals)
-    elif kind == "expand-k":
-        g, terminals = _load_graph_and_set(args)
-        if not terminals or args.l is None or args.k is None:
-            raise GraphError("expand-k requires terminals, --k and --l")
-        out = reductions.reduce_lambda3_to_lambdak(g, terminals, args.l, args.k)
-    elif kind == "3sat-lambda2":
-        out = reductions.reduce_3sat_to_lambda2(io.parse_cnf(_read(args.input)))
-    else:  # expand-l
-        g, terminals = _load_graph_and_set(args)
-        if not terminals or args.l is None:
-            raise GraphError("expand-l requires terminals and --l")
-        out = reductions.reduce_lambda2_to_lambdal(g, terminals, args.l)
+        params = tuple(getattr(args, flag) for flag in row.flags)
+        if not terminals or None in params:
+            raise GraphError(f"{args.kind} requires -S or a 'set' line in the graph file"
+                             + "".join(f", --{flag}" for flag in row.flags))
+        source = (g, terminals, *params)
+    else:
+        source = (getattr(io, f"parse_{row.reads}")(_read(args.input)),)
+    out = getattr(reductions, row.build)(*source)
 
     with open(args.output, "w", encoding="utf-8") as f:
         f.write(io.serialize_reduction(out))
     threshold = "-" if out.threshold is None else str(out.threshold)
-    print(f"V={out.graph.n} E={out.graph.m} {label}={threshold}")
+    print(f"V={out.graph.n} E={out.graph.m} {row.label}={threshold}")
     return EXIT_OK
 
 
@@ -120,17 +108,10 @@ def _cmd_verify(args) -> int:
     names = list(verify.REDUCTION_NAMES) if args.reduction == "all" else [args.reduction]
     exit_code = EXIT_OK
     chunks = []
+    overrides = {key: value for key, value in (("max_n", args.max_n), ("seed", args.seed))
+                 if value is not None}
     for name in names:
-        budget = verify.DEFAULT_BUDGETS.get(name)
-        if budget is None:
-            raise GraphError(
-                f"unknown reduction {args.reduction!r}; "
-                f"expected one of {verify.REDUCTION_NAMES} or 'all'"
-            )
-        if args.max_n is not None:
-            budget = replace(budget, max_n=args.max_n)
-        if args.seed is not None:
-            budget = replace(budget, seed=args.seed)
+        budget = replace(verify.reduction(name).budget, **overrides)
         report = verify.verify_reduction(name, budget)
         chunks.append(report.text())
         # stdout stays byte-identical across runs; timing lives in the file
@@ -169,10 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(run=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="apply an instance transformation")
-    p_reduce.add_argument(
-        "kind",
-        choices=["3dm-p1", "p1-kappa", "linegraph", "expand-k", "3sat-lambda2", "expand-l"],
-    )
+    p_reduce.add_argument("kind", choices=list(_REDUCE_KINDS))
     p_reduce.add_argument("-i", "--input", "-g", "--graph", dest="input", required=True)
     p_reduce.add_argument("-o", "--output", required=True)
     p_reduce.add_argument("-S", "--set", dest="terminals",
@@ -183,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify reductions against oracles")
     p_verify.add_argument("--reduction", required=True,
-                          help="one of R1..R6, or 'all'")
+                          help=f"one of {', '.join(verify.REDUCTION_NAMES)}, or 'all'")
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", help="write the full report to this file")

@@ -134,6 +134,15 @@ class Graph:
             out[p].append(v)
         return tuple(tuple(p) for p in out)
 
+    def part_size(self) -> int:
+        """The common size q of the three parts; unequal parts raise."""
+        if self.part_tag is None:
+            raise GraphError("graph carries no tripartition")
+        sizes = tuple(self.part_tag.count(p) for p in range(3))
+        if len(set(sizes)) != 1:
+            raise GraphError(f"parts have sizes {sizes}, expected equal")
+        return sizes[0]
+
 
 @dataclass(frozen=True)
 class SteinerTree:

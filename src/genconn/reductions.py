@@ -20,10 +20,15 @@ constructed vertex:
 Vertex ids are deterministic: original vertices keep their ids and
 constructed vertices are appended in documented block order, so the
 serialized outputs are reproducible byte for byte.
+
+After each construction, ``size_<construction>`` takes the builder's
+arguments and gives the output's shape in closed form, keyed as in
+:func:`measure`.  The verification harness compares the two.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
 from .graphs import (
@@ -35,6 +40,7 @@ from .graphs import (
     is_connected,
     line_graph,
     normalize_edge,
+    vertex_set,
 )
 from .trees import _check_terminals
 
@@ -57,10 +63,27 @@ _ARM_EDGES = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5), (5, 6))
 _GADGET_PARTS = (1, 2, 0, 1, 2, 0, 0, 2, 1, 0, 2, 1, 0, 1, 2, 0, 1, 2)
 
 
+_SHAPE = {
+    "V": lambda out: out.graph.n,
+    "E": lambda out: out.graph.m,
+    "S": lambda out: len(out.terminals),
+    "terminals": lambda out: out.terminals,
+    "degrees": lambda out: tuple(out.graph.degree(t) for t in out.terminals),
+    "q": lambda out: out.threshold,
+    "parts": lambda out: tuple(len(p) for p in out.graph.parts()),
+}
+
+
+def measure(out: ReductionOutput, keys: Iterable[str]) -> dict[str, object]:
+    """Order V, size E, terminal count S, terminals, their degrees,
+    threshold q and part sizes of ``out``, as named in ``keys``."""
+    return {key: _SHAPE[key](out) for key in keys}
+
+
 def reduce_3dm_to_p1(inst: ThreeDMInstance) -> tuple[Graph, int]:
     """Balanced tripartite graph whose connected rainbow partitions
     correspond to perfect matchings of the instance; returns (graph, q)
-    with |V| = 3n + 18m, |E| = 26m and q = n + 6m."""
+    with the shape of :func:`size_3dm_to_p1`."""
     out = reduce_3dm_to_p1_with_roles(inst)
     assert out.threshold is not None
     return out.graph, out.threshold
@@ -97,24 +120,32 @@ def reduce_3dm_to_p1_with_roles(inst: ThreeDMInstance) -> ReductionOutput:
     return ReductionOutput(g, (), n + 6 * m, roles)
 
 
+def size_3dm_to_p1(inst: ThreeDMInstance) -> dict[str, object]:
+    n, m = inst.n, inst.m
+    q = n + 6 * m
+    return {"V": 3 * n + 18 * m, "E": 26 * m, "q": q, "parts": (q, q, q)}
+
+
 def reduce_p1_to_kappa(g: Graph, q: int | None = None) -> ReductionOutput:
     """Adjoin apex vertices a, b, c joined to the three parts; a partition
     into connected rainbow triples exists iff there are q internally
     disjoint trees connecting {a, b, c}."""
-    parts = g.parts()
-    sizes = tuple(len(p) for p in parts)
-    if len(set(sizes)) != 1:
-        raise GraphError(f"parts have sizes {sizes}, expected equal")
+    size = g.part_size()
     if q is None:
-        q = sizes[0]
-    elif q != sizes[0]:
-        raise GraphError(f"q={q} does not match part size {sizes[0]}")
+        q = size
+    elif q != size:
+        raise GraphError(f"q={q} does not match part size {size}")
     a, b, c = g.n, g.n + 1, g.n + 2
     edges = list(g.edges)
-    for apex, part in zip((a, b, c), parts):
+    for apex, part in zip((a, b, c), g.parts()):
         edges.extend((v, apex) for v in part)
     out = Graph(g.n + 3, tuple(edges))
     return ReductionOutput(out, (a, b, c), q, {a: "a", b: "b", c: "c"})
+
+
+def size_p1_to_kappa(g: Graph, q: int) -> dict[str, object]:
+    """Each apex has degree q, the part size."""
+    return {"V": 3 * q + 3, "E": g.m + 3 * q, "degrees": (q, q, q)}
 
 
 def reduce_lambda_to_kappa(g: Graph, s: Iterable[int]) -> ReductionOutput:
@@ -132,6 +163,12 @@ def reduce_lambda_to_kappa(g: Graph, s: Iterable[int]) -> ReductionOutput:
     out = Graph(n + m, tuple(edges))
     roles = {n + j: f"e{j}" for j in range(m)}
     return ReductionOutput(out, terminals, None, roles)
+
+
+def size_lambda_to_kappa(g: Graph, s: Iterable[int]) -> dict[str, object]:
+    """The line graph has sum over v of C(deg v, 2) edges."""
+    line_edges = sum(comb(g.degree(v), 2) for v in range(g.n))
+    return {"V": g.n + g.m, "E": line_edges + 2 * g.m, "terminals": vertex_set(s)}
 
 
 def reduce_lambda3_to_lambdak(
@@ -164,6 +201,12 @@ def reduce_lambda3_to_lambdak(
     return ReductionOutput(out, terminals + tuple(hubs), l, roles)
 
 
+def size_lambda3_to_lambdak(
+    g: Graph, s: Iterable[int], l: int, k: int
+) -> dict[str, object]:
+    return {"V": g.n + (k - 3) * (l + 1), "E": g.m + 2 * l * (k - 3), "S": k}
+
+
 def _literal_name(lit: int) -> str:
     return f"x{lit}" if lit > 0 else f"xb{-lit}"
 
@@ -186,8 +229,8 @@ def reduce_3sat_to_lambda2(phi: CnfFormula) -> ReductionOutput:
       node of l's side; each literal node has one more edge, to its
       connector, or to b when no occurrence is left for it.
 
-    S is every cycle terminal plus every c'_j, so
-    |V| = 2 + 2m + 4R + N, |E| = 1 + 2m + 6R + 2N and |S| = 2R + m.
+    S is every cycle terminal plus every c'_j, which gives the shape of
+    :func:`size_3sat_to_lambda2`.
 
     Proof.  Take two edge-disjoint S-trees and prune both to minimal ones
     (every leaf a terminal); |S| >= 3.
@@ -286,6 +329,23 @@ def reduce_3sat_to_lambda2(phi: CnfFormula) -> ReductionOutput:
     return ReductionOutput(out, tuple(sorted(terminals)), 2, roles)
 
 
+def size_3sat_to_lambda2(phi: CnfFormula) -> dict[str, object]:
+    """|V| = 2 + 2m + 4R + N, |E| = 1 + 2m + 6R + 2N and |S| = 2R + m, with
+    R and N as in :func:`reduce_3sat_to_lambda2`."""
+    clauses = [set(c) for c in phi.clauses]
+    big_r = sum(
+        max(sum(i in c for c in clauses), sum(-i in c for c in clauses), 1)
+        for i in range(1, phi.num_vars + 1)
+    )
+    big_n = sum(len(c) for c in clauses)
+    m = phi.num_clauses
+    return {
+        "V": 2 + 2 * m + 4 * big_r + big_n,
+        "E": 1 + 2 * m + 6 * big_r + 2 * big_n,
+        "S": 2 * big_r + m,
+    }
+
+
 def reduce_lambda2_to_lambdal(g: Graph, s: Iterable[int], l: int) -> ReductionOutput:
     """Lift a 2-tree decision to threshold l: each terminal v gets a proxy
     terminal v' tied to v by two parallel length-2 paths, and l-2 hub
@@ -316,3 +376,9 @@ def reduce_lambda2_to_lambdal(g: Graph, s: Iterable[int], l: int) -> ReductionOu
             edges.append((proxy, hub))
     out = Graph(g.n + 3 * k + (l - 2), tuple(edges))
     return ReductionOutput(out, tuple(proxies), l, roles)
+
+
+def size_lambda2_to_lambdal(g: Graph, s: Iterable[int], l: int) -> dict[str, object]:
+    """Each of the k proxies has degree l."""
+    k = len(set(s))
+    return {"V": g.n + 3 * k + l - 2, "E": g.m + 4 * k + k * (l - 2), "degrees": (l,) * k}

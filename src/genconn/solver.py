@@ -634,20 +634,10 @@ def rainbow_connected_triples(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _check_balanced_tripartition(g: Graph) -> int:
-    parts = g.parts()
-    q = len(parts[0])
-    if any(len(p) != q for p in parts):
-        raise GraphError(
-            f"parts have sizes {tuple(len(p) for p in parts)}, expected equal"
-        )
-    return q
-
-
 def solve_problem1(g: Graph) -> tuple[tuple[int, int, int], ...] | None:
     """A partition of the vertices into connected rainbow triples, or None.
     Implemented as exact cover over all connected rainbow triples."""
-    _check_balanced_tripartition(g)
+    g.part_size()
     triples = rainbow_connected_triples(g)
     rows = [(1 << u) | (1 << v) | (1 << w) for u, v, w in triples]
     chosen = _exact_cover(g.all_vertices_mask, rows)

@@ -1,29 +1,35 @@
 """Instance generators and the equivalence harness that certifies each
 reduction against brute-force oracles at desk scale.
 
-For every generated instance the harness computes the source-problem
-verdict and the target-problem verdict with the independent solvers and
-records any disagreement, along with violations of the construction's
-size identities.  Reports are deterministic: generators are exhaustive
-below their bounds, random sampling is seeded, and failures are sorted by
-their replayable serialization.
+``REDUCTIONS`` is the one table of the six reductions.  A row names the
+reduction and its ``genconn reduce`` kind, its default budget, an
+instance generator over a budget, the builder and its closed-form size
+identity in :mod:`genconn.reductions`, the source and target deciders,
+and any extra check.  ``verify_reduction`` runs every row through one
+loop: for each generated instance it builds the target, checks the size
+identity, then compares the two deciders' verdicts and records any
+disagreement.  ``REDUCTION_NAMES``, ``DEFAULT_BUDGETS`` and the
+``reduce`` command's kinds are views of the table.
+
+Reports are deterministic: generators are exhaustive below their bounds,
+random sampling is seeded, and failures are sorted by their replayable
+serialization.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import io, reductions, solver, trees
 from .graphs import CnfFormula, Graph, GraphError, ThreeDMInstance, is_connected
 
-REDUCTION_NAMES = ("R1", "R2", "R3", "R4", "R5", "R6")
-
 GEN_GRAPH_MAX_N = 6
 GEN_3DM_MAX_N = 2
+GEN_TRIPARTITE_MAX_Q = 2
 
 
 @dataclass(frozen=True)
@@ -45,29 +51,15 @@ class VerifyBudget:
     seed: int = 0
 
     def describe(self) -> str:
-        parts = [f"max_n={self.max_n}"]
-        if self.max_m is not None:
-            parts.append(f"max_m={self.max_m}")
-        if self.max_terminals is not None:
-            parts.append(f"max_terminals={self.max_terminals}")
-        if self.ks:
-            parts.append("ks=" + ",".join(map(str, self.ks)))
-        if self.ls:
-            parts.append("ls=" + ",".join(map(str, self.ls)))
-        if self.samples:
-            parts.append(f"samples={self.samples}")
-        parts.append(f"seed={self.seed}")
+        """Every field that differs from its default, and the seed."""
+        parts = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "seed" or value != f.default:
+                if isinstance(value, tuple):
+                    value = ",".join(map(str, value))
+                parts.append(f"{f.name}={value}")
         return " ".join(parts)
-
-
-DEFAULT_BUDGETS: dict[str, VerifyBudget] = {
-    "R1": VerifyBudget(max_n=2, max_m=3),
-    "R2": VerifyBudget(max_n=2),
-    "R3": VerifyBudget(max_n=5, max_terminals=4),
-    "R4": VerifyBudget(max_n=4, ks=(4, 5), ls=(2, 3)),
-    "R5": VerifyBudget(max_n=3, max_m=3, samples=200),
-    "R6": VerifyBudget(max_n=4, ls=(3, 4)),
-}
 
 
 @dataclass(frozen=True)
@@ -126,18 +118,25 @@ class VerificationReport:
 # Generators
 
 
+def _guard(name: str, value: int, limit: int) -> None:
+    if not (1 <= value <= limit):
+        raise solver.GuardError(
+            f"{name}={value} outside the exhaustive-generation guard 1..{limit}"
+        )
+
+
+def _subsets(items: list) -> Iterator[tuple]:
+    """Every subset of ``items``, by ascending bit mask."""
+    for mask in range(1 << len(items)):
+        yield tuple(x for i, x in enumerate(items) if (mask >> i) & 1)
+
+
 def gen_connected_graphs(max_n: int) -> Iterator[Graph]:
     """Every labeled connected graph with 1 <= n <= max_n, exactly once,
     by ascending order and ascending edge-subset mask."""
-    if not (1 <= max_n <= GEN_GRAPH_MAX_N):
-        raise solver.GuardError(
-            f"max_n={max_n} outside the exhaustive-generation guard "
-            f"1..{GEN_GRAPH_MAX_N}"
-        )
+    _guard("max_n", max_n, GEN_GRAPH_MAX_N)
     for n in range(1, max_n + 1):
-        slots = list(combinations(range(n), 2))
-        for mask in range(1 << len(slots)):
-            edges = tuple(slots[i] for i in range(len(slots)) if (mask >> i) & 1)
+        for edges in _subsets(list(combinations(range(n), 2))):
             g = Graph(n, edges)
             if is_connected(g):
                 yield g
@@ -147,28 +146,18 @@ def gen_3dm(max_n: int, max_m: int | None = None) -> Iterator[ThreeDMInstance]:
     """Every matching instance with 1 <= n <= max_n and m <= max_m, by
     ascending n and ascending triple-subset mask over the lexicographic
     triple universe."""
-    if not (1 <= max_n <= GEN_3DM_MAX_N):
-        raise solver.GuardError(
-            f"max_n={max_n} outside the exhaustive-generation guard 1..{GEN_3DM_MAX_N}"
-        )
+    _guard("max_n", max_n, GEN_3DM_MAX_N)
     for n in range(1, max_n + 1):
         universe = [
             (u, v, w) for u in range(n) for v in range(n) for w in range(n)
         ]
-        for mask in range(1 << len(universe)):
-            if max_m is not None and mask.bit_count() > max_m:
-                continue
-            triples = tuple(
-                universe[i] for i in range(len(universe)) if (mask >> i) & 1
-            )
-            yield ThreeDMInstance(n, triples)
+        for triples in _subsets(universe):
+            if max_m is None or len(triples) <= max_m:
+                yield ThreeDMInstance(n, triples)
 
 
-def _exhaustive_clauses(num_vars: int) -> list[tuple[int, int, int]]:
-    lits: list[int] = []
-    for i in range(1, num_vars + 1):
-        lits.extend((i, -i))
-    return [tuple(c) for c in combinations_with_replacement(lits, 3)]
+def _literals(num_vars: int) -> list[int]:
+    return [lit for v in range(1, num_vars + 1) for lit in (v, -v)]
 
 
 def gen_cnf(max_vars: int, max_clauses: int, seed: int = 0, samples: int = 0
@@ -177,7 +166,7 @@ def gen_cnf(max_vars: int, max_clauses: int, seed: int = 0, samples: int = 0
     m <= min(max_clauses, 2), followed by ``samples`` seeded-random
     formulas within the full bounds."""
     for nv in range(1, min(max_vars, 2) + 1):
-        clauses = _exhaustive_clauses(nv)
+        clauses = list(combinations_with_replacement(_literals(nv), 3))
         for m in range(1, min(max_clauses, 2) + 1):
             for combo in combinations_with_replacement(clauses, m):
                 yield CnfFormula(nv, tuple(combo))
@@ -185,7 +174,7 @@ def gen_cnf(max_vars: int, max_clauses: int, seed: int = 0, samples: int = 0
     for _ in range(samples):
         nv = rng.randint(1, max_vars)
         m = rng.randint(1, max_clauses)
-        lits = [i for v in range(1, nv + 1) for i in (v, -v)]
+        lits = _literals(nv)
         yield CnfFormula(
             nv,
             tuple(
@@ -197,6 +186,7 @@ def gen_cnf(max_vars: int, max_clauses: int, seed: int = 0, samples: int = 0
 def gen_balanced_tripartite(q: int) -> Iterator[Graph]:
     """Every tripartite graph with parts {0..q-1}, {q..2q-1}, {2q..3q-1},
     over all subsets of the cross-part edge slots."""
+    _guard("q", q, GEN_TRIPARTITE_MAX_Q)
     parts = tuple([0] * q + [1] * q + [2] * q)
     slots = [
         (u, v)
@@ -204,8 +194,7 @@ def gen_balanced_tripartite(q: int) -> Iterator[Graph]:
         for v in range(u + 1, 3 * q)
         if parts[u] != parts[v]
     ]
-    for mask in range(1 << len(slots)):
-        edges = tuple(slots[i] for i in range(len(slots)) if (mask >> i) & 1)
+    for edges in _subsets(slots):
         yield Graph(3 * q, edges, parts)
 
 
@@ -232,206 +221,168 @@ def verify_packing_result(
     return True
 
 
+
+
 # ---------------------------------------------------------------------------
-# Per-reduction harnesses.  Each returns (checked, failures).
+# The reduction table
 
 
-def _fail(failures: list[Failure], kind: str, instance: str, lhs, rhs) -> None:
-    failures.append(Failure(kind, instance, str(lhs), str(rhs)))
+@dataclass(frozen=True)
+class Reduction:
+    """One row of the reduction table.  The builder and size identity are
+    named, and generators, deciders and checks look up module attributes
+    when called, so wrappers put on those attributes see every call."""
+
+    name: str
+    kind: str  # the ``genconn reduce`` kind
+    budget: VerifyBudget  # the default
+    cases: Callable[[VerifyBudget], Iterator[tuple[str, tuple]]]  # (text, args)
+    build: str  # reductions.<build>(*args)
+    size: str  # reductions.<size>(*args), the closed-form shape
+    source: Callable[..., object]  # decides args
+    target: Callable[..., object]  # decides the built output
+    reads: str  # ``reduce`` parses its input with io.parse_<reads>
+    flags: tuple[str, ...] = ()  # ``reduce`` options appended to its args
+    label: str = "l"  # name of the threshold in the ``reduce`` summary
+    needs: tuple[str, ...] = ()  # budget fields that must be non-empty
+    # extra (lhs, rhs) witness failures from (out, *args, lhs, rhs)
+    check: Callable[..., Iterator[tuple[str, str]]] | None = None
 
 
-def _verify_r1(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    for inst in gen_3dm(budget.max_n, budget.max_m):
-        checked += 1
-        text = io.serialize_3dm(inst)
-        g, q = reductions.reduce_3dm_to_p1(inst)
-        n, m = inst.n, inst.m
-        sizes = tuple(len(p) for p in g.parts())
-        if (
-            g.n != 3 * n + 18 * m
-            or g.m != 26 * m
-            or q != n + 6 * m
-            or sizes != (q, q, q)
-        ):
-            _fail(failures, "size", text, f"V={g.n} E={g.m} q={q} parts={sizes}",
-                  f"V={3*n+18*m} E={26*m} q={n+6*m}")
-            continue
-        lhs = solver.decide_3dm(inst)
-        rhs = solver.decide_problem1(g)
-        if lhs != rhs:
-            _fail(failures, "equivalence", text, lhs, rhs)
-    return checked, failures
+def _each(instances, serialize) -> Iterator[tuple[str, tuple]]:
+    for inst in instances:
+        yield serialize(inst), (inst,)
 
 
-def _verify_r2(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    for q in range(1, budget.max_n + 1):
+def _tripartite_cases(b: VerifyBudget) -> Iterator[tuple[str, tuple]]:
+    _guard("max_n", b.max_n, GEN_TRIPARTITE_MAX_Q)
+    for q in range(1, b.max_n + 1):
         for g in gen_balanced_tripartite(q):
-            checked += 1
-            text = io.serialize_graph(g)
-            out = reductions.reduce_p1_to_kappa(g, q)
-            gp = out.graph
-            degs = tuple(gp.degree(t) for t in out.terminals)
-            if gp.n != 3 * q + 3 or gp.m != g.m + 3 * q or degs != (q, q, q):
-                _fail(failures, "size", text, f"V={gp.n} E={gp.m} deg={degs}",
-                      f"V={3*q+3} E={g.m+3*q} deg=({q},{q},{q})")
-                continue
-            lhs = solver.decide_problem1(g)
-            rhs = solver.decide_kappa_set(gp, out.terminals, q)
-            if lhs != rhs:
-                _fail(failures, "equivalence", text, lhs, rhs)
-    return checked, failures
+            yield io.serialize_graph(g), (g, q)
 
 
-def _verify_r3(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    max_t = budget.max_terminals or 4
-    for g in gen_connected_graphs(budget.max_n):
-        if g.n < 2:
-            continue
-        for size in range(2, min(max_t, g.n) + 1):
+def _graph_cases(b: VerifyBudget, sizes, params=(("", ()),)
+                 ) -> Iterator[tuple[str, tuple]]:
+    """Every connected graph of the budget with every terminal set of a
+    size in ``sizes``, once per (text suffix, extra arguments) in
+    ``params``."""
+    for g in gen_connected_graphs(b.max_n):
+        for size in sizes:
             for s in combinations(range(g.n), size):
-                checked += 1
                 text = io.serialize_graph(g, s)
-                out = reductions.reduce_lambda_to_kappa(g, s)
-                gp = out.graph
-                lam = solver.lambda_set(g, s)
-                kap = solver.kappa_set(gp, out.terminals)
-                if gp.n != g.n + g.m:
-                    _fail(failures, "size", text, f"V={gp.n}", f"V={g.n + g.m}")
-                    continue
-                if not verify_packing_result(g, s, lam, vertex_mode=False):
-                    _fail(failures, "witness", text, "lambda witness", "invalid")
-                if not verify_packing_result(gp, out.terminals, kap, vertex_mode=True):
-                    _fail(failures, "witness", text, "kappa witness", "invalid")
-                if lam.value != kap.value:
-                    _fail(failures, "equivalence", text, lam.value, kap.value)
-    return checked, failures
+                for suffix, extra in params:
+                    yield text + suffix, (g, s, *extra)
 
 
-def _verify_r4(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    for g in gen_connected_graphs(budget.max_n):
-        if g.n < 3:
-            continue
-        for s in combinations(range(g.n), 3):
-            for k in budget.ks:
-                for l in budget.ls:
-                    checked += 1
-                    text = io.serialize_graph(g, s) + f"# params k={k} l={l}\n"
-                    out = reductions.reduce_lambda3_to_lambdak(g, s, l, k)
-                    gp = out.graph
-                    if (
-                        gp.n != g.n + (k - 3) * (l + 1)
-                        or gp.m != g.m + 2 * l * (k - 3)
-                        or len(out.terminals) != k
-                    ):
-                        _fail(failures, "size", text,
-                              f"V={gp.n} E={gp.m} k={len(out.terminals)}",
-                              f"V={g.n+(k-3)*(l+1)} E={g.m+2*l*(k-3)} k={k}")
-                        continue
-                    lhs = solver.decide_lambda_set(g, s, l)
-                    rhs = solver.decide_lambda_set(gp, out.terminals, l)
-                    if lhs != rhs:
-                        _fail(failures, "equivalence", text, lhs, rhs)
-    return checked, failures
+def _packing_witnesses(out, g, s, lam, kap) -> Iterator[tuple[str, str]]:
+    if not verify_packing_result(g, s, lam, vertex_mode=False):
+        yield "lambda witness", "invalid"
+    if not verify_packing_result(out.graph, out.terminals, kap, vertex_mode=True):
+        yield "kappa witness", "invalid"
 
 
-def r5_size_identity(phi: CnfFormula) -> tuple[int, int, int]:
-    """(|V|, |E|, |S|) of the R5 graph in closed form: 2 + 2m + 4R + N,
-    1 + 2m + 6R + 2N and 2R + m, where R sums over the variables
-    max(#clauses with x_i, #clauses with not-x_i, 1) and N counts the
-    distinct literals of each clause."""
-    clauses = [set(c) for c in phi.clauses]
-    big_r = sum(
-        max(sum(i in c for c in clauses), sum(-i in c for c in clauses), 1)
-        for i in range(1, phi.num_vars + 1)
-    )
-    big_n = sum(len(c) for c in clauses)
-    m = phi.num_clauses
-    return (
-        2 + 2 * m + 4 * big_r + big_n,
-        1 + 2 * m + 6 * big_r + 2 * big_n,
-        2 * big_r + m,
-    )
+REDUCTIONS: dict[str, Reduction] = {r.name: r for r in (
+    Reduction(
+        "R1", "3dm-p1", VerifyBudget(max_n=2, max_m=3),
+        lambda b: _each(gen_3dm(b.max_n, b.max_m), io.serialize_3dm),
+        "reduce_3dm_to_p1_with_roles", "size_3dm_to_p1",
+        source=lambda inst: solver.decide_3dm(inst),
+        target=lambda out: solver.decide_problem1(out.graph),
+        reads="3dm", label="q",
+    ),
+    Reduction(
+        "R2", "p1-kappa", VerifyBudget(max_n=2), _tripartite_cases,
+        "reduce_p1_to_kappa", "size_p1_to_kappa",
+        source=lambda g, q: solver.decide_problem1(g),
+        target=lambda out: solver.decide_kappa_set(out.graph, out.terminals, out.threshold),
+        reads="graph", label="q",
+    ),
+    Reduction(
+        "R3", "linegraph", VerifyBudget(max_n=5, max_terminals=4),
+        lambda b: _graph_cases(b, range(2, (b.max_terminals or 4) + 1)),
+        "reduce_lambda_to_kappa", "size_lambda_to_kappa",
+        source=lambda g, s: solver.lambda_set(g, s),
+        target=lambda out: solver.kappa_set(out.graph, out.terminals),
+        reads="graph_and_set", check=_packing_witnesses,
+    ),
+    Reduction(
+        "R4", "expand-k", VerifyBudget(max_n=4, ks=(4, 5), ls=(2, 3)),
+        lambda b: _graph_cases(b, (3,), [(f"# params k={k} l={l}\n", (l, k))
+                                         for k in b.ks for l in b.ls]),
+        "reduce_lambda3_to_lambdak", "size_lambda3_to_lambdak",
+        source=lambda g, s, l, k: solver.decide_lambda_set(g, s, l),
+        target=lambda out: solver.decide_lambda_set(out.graph, out.terminals, out.threshold),
+        reads="graph_and_set", flags=("l", "k"), needs=("ks", "ls"),
+    ),
+    Reduction(
+        "R5", "3sat-lambda2", VerifyBudget(max_n=3, max_m=3, samples=200),
+        lambda b: _each(gen_cnf(b.max_n, b.max_m or 2, b.seed, b.samples), io.serialize_cnf),
+        "reduce_3sat_to_lambda2", "size_3sat_to_lambda2",
+        source=lambda phi: solver.decide_3sat(phi),
+        target=lambda out: solver.decide_lambda_set(out.graph, out.terminals, out.threshold),
+        reads="cnf",
+    ),
+    Reduction(
+        "R6", "expand-l", VerifyBudget(max_n=4, ls=(3, 4)),
+        lambda b: _graph_cases(b, range(2, b.max_n + 1), [(f"# params l={l}\n", (l,))
+                                                          for l in b.ls]),
+        "reduce_lambda2_to_lambdal", "size_lambda2_to_lambdal",
+        source=lambda g, s, l: solver.decide_lambda_set(g, s, 2),
+        target=lambda out: solver.decide_lambda_set(out.graph, out.terminals, out.threshold),
+        reads="graph_and_set", flags=("l",), needs=("ls",),
+    ),
+)}
+
+REDUCTION_NAMES = tuple(REDUCTIONS)
+DEFAULT_BUDGETS = {name: r.budget for name, r in REDUCTIONS.items()}
 
 
-def _verify_r5(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    for phi in gen_cnf(budget.max_n, budget.max_m or 2, budget.seed, budget.samples):
-        checked += 1
-        text = io.serialize_cnf(phi)
-        out = reductions.reduce_3sat_to_lambda2(phi)
-        gp = out.graph
-        got = (gp.n, gp.m, len(out.terminals))
-        want = r5_size_identity(phi)
-        if got != want:
-            _fail(failures, "size", text, "V={} E={} S={}".format(*got),
-                  "V={} E={} S={}".format(*want))
-            continue
-        lhs = solver.decide_3sat(phi)
-        rhs = solver.decide_lambda_set(gp, out.terminals, 2)
-        if lhs != rhs:
-            _fail(failures, "equivalence", text, lhs, rhs)
-    return checked, failures
+def reduction(name: str) -> Reduction:
+    """The table row of a reduction; unknown names raise GraphError."""
+    if name not in REDUCTIONS:
+        raise GraphError(f"unknown reduction {name!r}; expected one of {REDUCTION_NAMES}")
+    return REDUCTIONS[name]
 
 
-def _verify_r6(budget: VerifyBudget) -> tuple[int, list[Failure]]:
-    checked = 0
-    failures: list[Failure] = []
-    for g in gen_connected_graphs(budget.max_n):
-        if g.n < 2:
-            continue
-        for size in range(2, g.n + 1):
-            for s in combinations(range(g.n), size):
-                for l in budget.ls:
-                    checked += 1
-                    text = io.serialize_graph(g, s) + f"# params l={l}\n"
-                    out = reductions.reduce_lambda2_to_lambdal(g, s, l)
-                    gp = out.graph
-                    k = len(s)
-                    degs = all(gp.degree(p) == l for p in out.terminals)
-                    if (
-                        gp.n != g.n + 3 * k + l - 2
-                        or gp.m != g.m + 4 * k + k * (l - 2)
-                        or not degs
-                    ):
-                        _fail(failures, "size", text, f"V={gp.n} E={gp.m} degs_ok={degs}",
-                              f"V={g.n+3*k+l-2} E={g.m+4*k+k*(l-2)}")
-                        continue
-                    lhs = solver.decide_lambda_set(g, s, 2)
-                    rhs = solver.decide_lambda_set(gp, out.terminals, l)
-                    if lhs != rhs:
-                        _fail(failures, "equivalence", text, lhs, rhs)
-    return checked, failures
+def _verdict(result):
+    """A decider's answer: a bool, or the value of a packing."""
+    return result.value if isinstance(result, solver.PackingResult) else result
 
 
-_HARNESSES = {
-    "R1": _verify_r1,
-    "R2": _verify_r2,
-    "R3": _verify_r3,
-    "R4": _verify_r4,
-    "R5": _verify_r5,
-    "R6": _verify_r6,
-}
+def _shape(sizes: dict[str, object]) -> str:
+    return " ".join(f"{key}={value}" for key, value in sizes.items())
 
 
 def verify_reduction(name: str, budget: VerifyBudget | None = None) -> VerificationReport:
     """Certify one reduction against its brute-force oracles.  Unknown
-    names raise GraphError; budgets beyond the generator guards raise
-    GuardError."""
-    if name not in _HARNESSES:
-        raise GraphError(f"unknown reduction {name!r}; expected one of {REDUCTION_NAMES}")
+    names and budgets that leave a field the reduction needs empty raise
+    GraphError; budgets beyond the generator guards raise GuardError."""
+    row = reduction(name)
     if budget is None:
-        budget = DEFAULT_BUDGETS[name]
+        budget = row.budget
+    for field in row.needs:
+        if not getattr(budget, field):
+            raise GraphError(f"{name} checks nothing with an empty budget {field}")
+    build = getattr(reductions, row.build)
+    size = getattr(reductions, row.size)
     start = time.perf_counter()
-    checked, failures = _HARNESSES[name](budget)
+    checked = 0
+    failures: list[Failure] = []
+    for text, args in row.cases(budget):
+        checked += 1
+        out = build(*args)
+        want = size(*args)
+        got = reductions.measure(out, want)
+        if got != want:
+            failures.append(Failure("size", text, _shape(got), _shape(want)))
+            continue
+        lhs, rhs = row.source(*args), row.target(out)
+        if row.check is not None:
+            failures.extend(Failure("witness", text, a, b)
+                            for a, b in row.check(out, *args, lhs, rhs))
+        lhs, rhs = _verdict(lhs), _verdict(rhs)
+        if lhs != rhs:
+            failures.append(Failure("equivalence", text, str(lhs), str(rhs)))
     elapsed = time.perf_counter() - start
     failures.sort(key=lambda f: (f.instance, f.kind))
     return VerificationReport(name, budget, checked, tuple(failures), elapsed)

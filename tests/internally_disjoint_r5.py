@@ -8,7 +8,7 @@ The tests keep it as a construction with a known defect, so that the
 verification harness is seen to catch one.
 """
 
-from genconn import reductions, verify
+from genconn import reductions
 from genconn.graphs import CnfFormula, Graph, ReductionOutput
 
 
@@ -73,16 +73,16 @@ def build(phi: CnfFormula) -> ReductionOutput:
     return ReductionOutput(Graph(a + 2, tuple(edges)), terminals, 2, roles)
 
 
-def size_identity(phi: CnfFormula) -> tuple[int, int, int]:
-    """(|V|, |E|, |S|) of ``build(phi)``: 3n + 2m + 2 vertices,
-    8n + 2m + N - 3 edges with N the count of distinct (literal, clause)
-    pairs, and n + m terminals."""
+def size_identity(phi: CnfFormula) -> dict[str, object]:
+    """The shape of ``build(phi)``: 3n + 2m + 2 vertices, 8n + 2m + N - 3
+    edges with N the count of distinct (literal, clause) pairs, and n + m
+    terminals."""
     n, m = phi.num_vars, phi.num_clauses
     distinct = sum(len(set(c)) for c in phi.clauses)
-    return 3 * n + 2 * m + 2, 8 * n + 2 * m + distinct - 3, n + m
+    return {"V": 3 * n + 2 * m + 2, "E": 8 * n + 2 * m + distinct - 3, "S": n + m}
 
 
 def install(monkeypatch) -> None:
     """Make the R5 harness build and size-check this graph instead."""
     monkeypatch.setattr(reductions, "reduce_3sat_to_lambda2", build)
-    monkeypatch.setattr(verify, "r5_size_identity", size_identity)
+    monkeypatch.setattr(reductions, "size_3sat_to_lambda2", size_identity)

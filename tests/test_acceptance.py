@@ -6,6 +6,7 @@ instances fail and double-checks each counterexample against the
 independent brute-force oracle before reporting.
 """
 
+import hashlib
 import time
 from itertools import combinations
 
@@ -33,6 +34,21 @@ from genconn.verify import (
 )
 
 _WITNESS_STATS = {"checked": 0, "valid": 0}
+
+# sha256 of VerificationReport.canonical_text() at the default budgets
+_REPORT_SHA256 = {
+    "R1": "868501680916a8e838ee61958183dd58d6aac68b90010a4a3987ff65d73a3d0a",
+    "R2": "6ce12d95abb479a0562ff78d6a12eb248372fc4fa8ba40f6c1f00b94133e8d49",
+    "R3": "694ea4cf0dc5e61aa3dbf6e2c972880c9795acd513984f6fd7cc932d0182ff5c",
+    "R4": "4fe3270a2c18816cb0390659382ddcf972087de3d705b4a907ad3308fe84decb",
+    "R5": "751613bee93f50ffd364cdb5ec2ef417e2eb156640b565bc1eebcbc47f798393",
+    "R6": "f9ab98ad292455f5756146c5213b883ff40d258f38d75081d201b717cd5b8784",
+}
+
+
+def _assert_report_pinned(report) -> None:
+    digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
+    assert digest == _REPORT_SHA256[report.reduction_name], report.canonical_text()
 
 
 def _report(criterion: str, ok: bool, started: float, detail: str = "") -> None:
@@ -95,6 +111,7 @@ def test_criterion_03_line_graph_reduction():
         1 for f in report.failures if f.kind == "witness"
     )
     assert ok, report.text()
+    _assert_report_pinned(report)
 
 
 def test_criterion_04_apex_reduction():
@@ -105,6 +122,7 @@ def test_criterion_04_apex_reduction():
     _report("criterion-4 apex-reduction", report.passed, started,
             f"{report.instances_checked} instances")
     assert report.passed, report.text()
+    _assert_report_pinned(report)
 
 
 def test_criterion_05_sat_reduction():
@@ -120,6 +138,7 @@ def test_criterion_05_sat_reduction():
     if report.passed:
         _report("criterion-5 sat-reduction", True, started,
                 f"{report.instances_checked} instances")
+        _assert_report_pinned(report)
         return
 
     confirmed = []
@@ -158,6 +177,8 @@ def test_criterion_06_expansion_reductions():
             f"{r4.instances_checked}+{r6.instances_checked} instances")
     assert r4.passed, r4.text()
     assert r6.passed, r6.text()
+    _assert_report_pinned(r4)
+    _assert_report_pinned(r6)
 
 
 def test_criterion_07_gadget_counting():
@@ -184,6 +205,7 @@ def test_criterion_08_gadget_equivalence():
     _report("criterion-8 gadget-equivalence", ok, started,
             f"{report.instances_checked} instances")
     assert ok, report.text()
+    _assert_report_pinned(report)
 
 
 def test_criterion_09_disconnected_convention():

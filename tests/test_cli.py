@@ -149,6 +149,21 @@ class TestReduce:
         assert main(["reduce", "p1-kappa", "-i", str(inp), "-o", str(out)]) == 0
         assert capsys.readouterr().out == "V=6 E=6 q=1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["linegraph"],
+        ["expand-k", "-S", "0,1,2", "--l", "2"],
+        ["expand-k", "-S", "0,1,2", "--k", "4"],
+        ["expand-k", "--k", "4", "--l", "2"],
+        ["expand-l", "-S", "0,1"],
+        ["expand-l", "--l", "3"],
+    ])
+    def test_missing_terminals_or_flags(self, k4, tmp_path, capsys, argv):
+        out = tmp_path / "out.graph"
+        code = main(["reduce", argv[0], "-g", k4, *argv[1:], "-o", str(out)])
+        assert code == 2
+        assert f"{argv[0]} requires -S" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reduce_then_solve_pipeline(self, p3, tmp_path, capsys):
         out = tmp_path / "out.graph"
         main(["reduce", "linegraph", "-g", p3, "-S", "0,2", "-o", str(out)])
@@ -178,6 +193,14 @@ class TestVerifyCommand:
         internally_disjoint_r5.install(monkeypatch)
         assert main(["verify", "--reduction", "R5"]) == 1
         assert capsys.readouterr().out.startswith("FAIL R5 ")
+
+    @pytest.mark.parametrize("max_n", ["0", "3"])
+    def test_r2_beyond_guard(self, capsys, max_n):
+        # q = 3 would enumerate 2^27 graphs
+        assert main(["verify", "--reduction", "R2", "--max-n", max_n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "guard 1..2" in captured.err
 
     def test_stdout_is_deterministic(self, capsys):
         main(["verify", "--reduction", "R1"])

@@ -1,12 +1,18 @@
+import argparse
+import hashlib
+
 import pytest
 
 import internally_disjoint_r5
 import oracles
-from genconn.graphs import GraphError
+from genconn import cli, reductions, solver
+from genconn.graphs import Graph, GraphError, ReductionOutput
 from genconn.solver import GuardError, decide_3sat, decide_lambda_set, lambda_set
 from genconn.reductions import reduce_3sat_to_lambda2
 from genconn.verify import (
     DEFAULT_BUDGETS,
+    REDUCTION_NAMES,
+    REDUCTIONS,
     VerifyBudget,
     gen_3dm,
     gen_balanced_tripartite,
@@ -63,6 +69,12 @@ class TestGenerators:
         assert sum(1 for _ in gen_balanced_tripartite(1)) == 8
         assert sum(1 for _ in gen_balanced_tripartite(2)) == 4096
 
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_tripartite_guard(self, q):
+        # q = 3 has 27 edge slots, 2^27 graphs; the guard fires before the first graph
+        with pytest.raises(GuardError):
+            next(gen_balanced_tripartite(q))
+
 
 class TestVerifyReduction:
     def test_unknown_name(self):
@@ -99,6 +111,10 @@ class TestVerifyReduction:
             assert f.kind == "equivalence"
             assert f.lhs == "False" and f.rhs == "True"
         assert "FAIL R5" in report.text()
+        assert report.summary_line(with_time=False) == "FAIL R5 244 2"
+        assert hashlib.sha256(report.canonical_text().encode()).hexdigest() == (
+            "d757ce5e09a81c92fd3c4d1ba06825a95357d92b96efed135547310d85e9099e"
+        )
 
     def test_r5_clean_formulas_pass(self):
         checked = 0
@@ -133,3 +149,61 @@ class TestVerifyReduction:
 
     def test_default_budgets_cover_all_reductions(self):
         assert set(DEFAULT_BUDGETS) == {"R1", "R2", "R3", "R4", "R5", "R6"}
+
+    @pytest.mark.parametrize("name, budget", [
+        ("R4", VerifyBudget(max_n=4)),
+        ("R4", VerifyBudget(max_n=4, ks=(4,))),
+        ("R4", VerifyBudget(max_n=4, ls=(2,))),
+        ("R6", VerifyBudget(max_n=4)),
+    ])
+    def test_empty_needed_budget_field_raises(self, name, budget):
+        # an empty ks or ls loop would check nothing and report PASS
+        with pytest.raises(GraphError, match="empty budget"):
+            verify_reduction(name, budget)
+
+    def test_r2_beyond_guard_raises_before_checking(self):
+        with pytest.raises(GuardError):
+            verify_reduction("R2", VerifyBudget(max_n=3))
+        with pytest.raises(GuardError):
+            verify_reduction("R2", VerifyBudget(max_n=0))
+
+    def test_r3_size_checked_before_solving(self, monkeypatch):
+        # a line-graph builder that drops one edge breaks |E'|; neither
+        # packing is computed for an instance that fails its size identity
+        build = reductions.reduce_lambda_to_kappa
+
+        def missing_edge(g, s):
+            out = build(g, s)
+            return ReductionOutput(Graph(out.graph.n, out.graph.edges[:-1]),
+                                   out.terminals, out.threshold, out.gadget_map)
+
+        def unreachable(*args):
+            raise AssertionError("solved an instance that failed its size identity")
+
+        monkeypatch.setattr(reductions, "reduce_lambda_to_kappa", missing_edge)
+        monkeypatch.setattr(solver, "lambda_set", unreachable)
+        monkeypatch.setattr(solver, "kappa_set", unreachable)
+        report = verify_reduction("R3", VerifyBudget(max_n=3, max_terminals=3))
+        assert report.instances_checked == 17
+        assert len(report.failures) == 17
+        assert {f.kind for f in report.failures} == {"size"}
+        assert report.failures[0].lhs == "V=3 E=1 terminals=(0, 1)"
+        assert report.failures[0].rhs == "V=3 E=2 terminals=(0, 1)"
+
+
+class TestReductionTable:
+    def test_names_budgets_and_kinds_are_views_of_the_table(self):
+        assert REDUCTION_NAMES == tuple(REDUCTIONS) == ("R1", "R2", "R3", "R4", "R5", "R6")
+        assert DEFAULT_BUDGETS == {name: row.budget for name, row in REDUCTIONS.items()}
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in sub.choices["reduce"]._actions if a.dest == "kind")
+        kinds = [row.kind for row in REDUCTIONS.values()]
+        assert list(kind.choices) == kinds
+        assert len(set(kinds)) == 6
+
+    @pytest.mark.parametrize("name", ["R1", "R2", "R3", "R4", "R5", "R6"])
+    def test_rows_name_existing_functions(self, name):
+        row = REDUCTIONS[name]
+        assert callable(getattr(reductions, row.build))
+        assert callable(getattr(reductions, row.size))
