@@ -91,11 +91,6 @@ def _edge_network(g: Graph) -> Network:
     return _flow_network(g.n, ((u, v, 1, 1) for u, v in g.edges))
 
 
-def _edge_flow(g: Graph, s: int, t: int) -> int:
-    """Maximum edge-disjoint s-t paths."""
-    return _max_flow(_edge_network(g), s, t)
-
-
 def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
     """⌊cross edges / (|S| - 1)⌋ on the partition that gives every vertex
     to its nearest terminal (breadth-first from all terminals at once, ties

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 class GraphError(ValueError):
     """A graph or problem instance violates a structural invariant."""
@@ -251,28 +251,40 @@ class ReductionOutput:
             raise GraphError("gadget roles are not injective")
 
 
-def _reachable_mask(g: Graph, start_mask: int, vmask: int, emask: int) -> int:
-    """Bitmask of active vertices reachable from start_mask via active edges."""
-    inc = g.incident
-    edges = g.edges
-    reached = start_mask & vmask
-    frontier = reached
+def _reach(
+    base: Sequence[int],
+    inc: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    start: int,
+    vset: int,
+    links: int,
+) -> int:
+    """Vertices of ``vset`` reachable from ``start`` in the subgraph that
+    ``vset`` induces under the vertex adjacency masks ``base``, plus the
+    edges whose ids are set in ``links``.  A frontier vertex costs one OR;
+    its ``inc`` edges are scanned only when ``links`` is non-zero."""
+    reached = frontier = start & vset
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            e = inc[b.bit_length() - 1] & emask
-            while e:
-                eb = e & -e
-                e ^= eb
-                u, v = edges[eb.bit_length() - 1]
-                w = (1 << u) | (1 << v)
-                new = w & vmask & ~reached
-                reached |= new
-                nxt |= new
-        frontier = nxt
+        if links:
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                v = b.bit_length() - 1
+                nxt |= base[v]
+                e = inc[v] & links
+                while e:
+                    eb = e & -e
+                    e ^= eb
+                    x, y = edges[eb.bit_length() - 1]
+                    nxt |= (1 << x) | (1 << y)
+        else:
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= base[b.bit_length() - 1]
+        frontier = nxt & vset & ~reached
+        reached |= frontier
     return reached
 
 
@@ -283,22 +295,16 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
     """
     if within is None:
         vmask = g.all_vertices_mask
-        emask = g.all_edges_mask
     else:
-        members = vertex_set(within)
         vmask = 0
-        for v in members:
+        for v in vertex_set(within):
             if not (0 <= v < g.n):
                 raise GraphError(f"vertex {v} outside graph of order {g.n}")
             vmask |= 1 << v
-        emask = 0
-        for j, (u, v) in enumerate(g.edges):
-            if (vmask >> u) & 1 and (vmask >> v) & 1:
-                emask |= 1 << j
     if vmask == 0:
         return True
     start = vmask & -vmask
-    return _reachable_mask(g, start, vmask, emask) == vmask
+    return _reach(g.adjacency, g.incident, g.edges, start, vmask, 0) == vmask
 
 
 def line_graph(g: Graph) -> Graph:

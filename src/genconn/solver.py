@@ -12,6 +12,11 @@ subgraph is the shared part plus its own items:
 - edge-disjoint packings (lambda): the items are the edges, and every
   vertex is shared.
 
+Both kinds walk a color's subgraph the same way: ``base``, the vertex
+adjacency of the shared edges (all zeros for lambda), plus ``links``, the
+edge items the color owns or may still take.  One reach,
+``graphs._reach``, and one BFS-layer order, ``_layer_order``, serve both.
+
 A color is satisfied once its subgraph connects the terminals.  The search
 repeatedly picks the first unsatisfied color and branches over which free
 item attaches to its most constrained terminal component, trying items
@@ -47,10 +52,10 @@ from .graphs import (
     GraphError,
     SteinerTree,
     ThreeDMInstance,
-    _reachable_mask,
+    _reach,
     is_connected,
 )
-from .bounds import _edge_flow, _vertex_flow, packing_upper_bound
+from .bounds import _edge_network, _max_flow, _vertex_flow, packing_upper_bound
 from .trees import _check_terminals, _mask_of
 
 SUBSET_GUARD_MAX_N = 16  # kappa_k/lambda_k refuse larger graphs without force
@@ -109,85 +114,61 @@ def _first_tree(g: Graph, terminals: Sequence[int], vmask: int, emask: int) -> t
     return tv, te
 
 
-def _dist_order(
-    g: Graph, sources: int, through: int, emask: int, items: int
-) -> list[int]:
-    """Edge ids set in ``items``, each keyed by its endpoint in ``through``,
-    sorted by the BFS distance of that key from ``sources``, walking
-    ``emask`` edges into ``through`` vertices; items that cannot be reached
-    sort last.  Ties break on id."""
-    inc = g.incident
-    edges = g.edges
-    dist = {}
-    frontier = []
-    m = sources
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        dist[v] = 0
-        frontier.append(v)
-    d = 0
-    seen = sources
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            e = inc[v] & emask
-            while e:
-                eb = e & -e
-                e ^= eb
-                x, y = edges[eb.bit_length() - 1]
-                w = y if x == v else x
-                wb = 1 << w
-                if not (seen & wb) and (through & wb):
-                    seen |= wb
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    keyed = []
-    while items:
-        b = items & -items
-        items ^= b
-        j = b.bit_length() - 1
-        u, v = edges[j]
-        keyed.append((dist.get(u if (through >> u) & 1 else v, 1 << 30), j))
-    keyed.sort()
-    return [j for _d, j in keyed]
-
-
-def _vertex_reach(
+def _layer_order(
     base: Sequence[int],
+    inc: Sequence[int],
     edges: Sequence[tuple[int, int]],
+    off: int,
     start: int,
-    vset: int,
+    through: int,
     links: int,
-) -> int:
-    """Vertices of ``vset`` reachable from ``start`` through the vertex
-    adjacency masks ``base`` and the edges whose ids are set in ``links``.
-    Each frontier vertex costs one OR; the links are scanned only when the
-    adjacency walk stalls."""
-    reached = start & vset
-    frontier = reached
-    while frontier:
+    cands: int,
+) -> list[int]:
+    """The item ids set in ``cands`` (vertex x at bit x, edge j at bit
+    ``off + j``, each edge also set in ``links``) in BFS-layer order.  The
+    walk is ``_reach``'s, from the vertices ``start`` through the vertices
+    ``through``; each layer gives, in bit order, its vertex items and the
+    edge items with an endpoint in it.  Unreached items come last, in bit
+    order."""
+    vbits = (1 << off) - 1
+    order = []
+    rest = cands
+    seen = frontier = start
+    while frontier and rest:
+        found = frontier & vbits & rest
         nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= base[b.bit_length() - 1]
-        frontier = nxt & vset & ~reached
-        if not frontier and links:
-            e = links
-            while e:
-                eb = e & -e
-                e ^= eb
-                u, v = edges[eb.bit_length() - 1]
-                w = (1 << u) | (1 << v)
-                if w & reached:
-                    frontier |= w
-            frontier &= vset & ~reached
-        reached |= frontier
-    return reached
+        if links:
+            hit = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                v = b.bit_length() - 1
+                nxt |= base[v]
+                e = inc[v] & links
+                hit |= e
+                while e:
+                    eb = e & -e
+                    e ^= eb
+                    x, y = edges[eb.bit_length() - 1]
+                    nxt |= (1 << x) | (1 << y)
+            found |= (hit << off) & rest
+        else:
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= base[b.bit_length() - 1]
+        rest ^= found
+        while found:
+            b = found & -found
+            found ^= b
+            order.append(b.bit_length() - 1)
+        frontier = nxt & through & ~seen
+        seen |= frontier
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        order.append(b.bit_length() - 1)
+    return order
 
 
 def _search_trees(
@@ -198,25 +179,27 @@ def _search_trees(
     Each subgraph holds a minimal S-tree (``_first_tree``), and these trees
     are pairwise internally disjoint (``vertex_mode``) or edge-disjoint.
 
-    Colors own items and share the rest; a color's subgraph is the shared
-    part plus its own items.  An item mask holds vertex x at bit x and edge
-    j at bit ``off + j``; ``off`` is n in vertex mode and 0 in edge mode,
-    where no vertex is an item and an item mask is an edge mask.  In
-    vertex mode every shared edge has a non-terminal endpoint, so a color's
-    subgraph is the subgraph its vertices induce under ``base`` (the
-    adjacency without terminal-terminal pairs) plus its own edges, and
-    reachability walks vertex adjacency (``_vertex_reach``).
+    Colors own items and share the rest.  An item mask holds vertex x at
+    bit x and edge j at bit ``off + j``; ``off`` is n in vertex mode and 0
+    in edge mode, where no vertex is an item and an item mask is an edge
+    mask.  Both modes describe a color's subgraph the same way: the
+    vertices it may use (the shared ones plus its own and the open vertex
+    items), ``base``, the vertex adjacency of the shared edges, and
+    ``links``, the edge items it owns or may still take.  ``base`` is the
+    adjacency without terminal-terminal pairs in vertex mode, where every
+    shared edge has a non-terminal endpoint, and all zeros in edge mode,
+    where no edge is shared.  The reachability prune walks this subgraph
+    with ``_reach``, and the branch order comes from ``_layer_order``.
 
     Each color's terminal components are kept in order of least terminal
     and updated as items join: the components an item touches (its
     endpoints, or a vertex and its ``base`` neighbours) merge at the place
     of the first one.  The candidates of a component are a mask: the free,
     unbanned vertex items next to it (the OR of ``adj`` over it) and edge
-    items leaving it (the XOR of ``inc`` over it).  Vertex mode orders them
-    by BFS layers over ``base`` from the terminals outside the component:
-    terminal-terminal edges first (their outside endpoint is at distance
-    0), then vertices layer by layer, unreached ones last, ties by id.
-    Edge mode orders them with ``_dist_order``.
+    items leaving it (the XOR of ``inc`` over it).  They are tried in BFS
+    layers of the open subgraph from the terminals outside the component,
+    so by the distance of the vertex item or of the edge item's outside
+    endpoint, then by id; unreached candidates come last.
     """
     inc = g.incident
     edges = g.edges
@@ -244,7 +227,8 @@ def _search_trees(
             (adj[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals
         ]
     else:
-        # Items: the edges; every vertex is shared.
+        # Items: the edges; every vertex and no edge is shared.
+        base = [0] * g.n
         edge_items = emask
         off = 0
         vert_items = 0
@@ -295,37 +279,6 @@ def _search_trees(
             cut ^= inc[v]
         return ((near & vbits) | (cut << off)) & free & ~ban[i]
 
-    def kappa_order(k: int, cands: int, open_items: int) -> list[int]:
-        """Vertex-mode branch order of the candidate mask of component k."""
-        order = []
-        e = cands >> off
-        while e:
-            b = e & -e
-            e ^= b
-            order.append(off + b.bit_length() - 1)
-        vc = cands & vbits
-        through = (s_mask | (open_items & vbits)) & ~k
-        frontier = seen = s_mask & ~k
-        while vc and frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= base[b.bit_length() - 1]
-            frontier = nxt & through & ~seen
-            seen |= frontier
-            layer = frontier & vc
-            vc ^= layer
-            while layer:
-                b = layer & -layer
-                layer ^= b
-                order.append(b.bit_length() - 1)
-        while vc:
-            b = vc & -vc
-            vc ^= b
-            order.append(b.bit_length() - 1)
-        return order
-
     def rec() -> list[tuple[int, int]] | None:
         nonlocal free
         # Branch on the first unsatisfied color, attaching to whichever of
@@ -366,21 +319,16 @@ def _search_trees(
         # Per-color reachability through own plus unassigned items.
         for i in range(l):
             own = color[i] | (free & ~ban[i])
-            if vertex_mode:
-                reach = _vertex_reach(
-                    base, edges, 1 << t0, s_mask | (own & vbits), own >> off
-                )
-            else:
-                reach = _reachable_mask(g, 1 << t0, vmask, own)
+            reach = _reach(
+                base, inc, edges, 1 << t0, shared_v | (own & vbits), own >> off
+            )
             if s_mask & ~reach:
                 return None
         open_items = free & ~ban[target]
-        if vertex_mode:
-            order = kappa_order(target_k, cands, open_items)
-        else:
-            order = _dist_order(
-                g, s_mask & ~target_k, vmask & ~target_k, open_items, cands
-            )
+        order = _layer_order(
+            base, inc, edges, off, s_mask & ~target_k,
+            (shared_v | (open_items & vbits)) & ~target_k, open_items >> off, cands,
+        )
         # Bans are scoped to this node: branch r excludes the items tried
         # by branches 1..r-1, and the whole set is restored on failure.
         saved = ban[target]
@@ -405,8 +353,8 @@ def _search_trees(
 
 def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:
     """True iff the terminals lie in one component of g."""
-    reached = _reachable_mask(
-        g, 1 << terminals[0], g.all_vertices_mask, g.all_edges_mask
+    reached = _reach(
+        g.adjacency, g.incident, g.edges, 1 << terminals[0], g.all_vertices_mask, 0
     )
     return not s_mask & ~reached
 
@@ -522,9 +470,10 @@ def classical_lambda(g: Graph) -> int:
     """Edge connectivity via unit-capacity flows from a fixed source."""
     if g.n < 2:
         raise GraphError(f"edge connectivity undefined for n={g.n}")
+    network = _edge_network(g)
     best = None
     for t in range(1, g.n):
-        f = _edge_flow(g, 0, t)
+        f = _max_flow(network, 0, t)
         if best is None or f < best:
             best = f
             if best == 0:

@@ -165,6 +165,7 @@ def gen_cnf(max_vars: int, max_clauses: int, seed: int = 0, samples: int = 0
     """The exhaustive family with num_vars <= min(max_vars, 2) and
     m <= min(max_clauses, 2), followed by ``samples`` seeded-random
     formulas within the full bounds."""
+    _guard("max_vars", max_vars, solver.SAT_GUARD_MAX_VARS)
     for nv in range(1, min(max_vars, 2) + 1):
         clauses = list(combinations_with_replacement(_literals(nv), 3))
         for m in range(1, min(max_clauses, 2) + 1):

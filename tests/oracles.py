@@ -47,6 +47,32 @@ def _spans_connected(edges, vs) -> bool:
     return seen == vs
 
 
+def distances(g: Graph, sources, vset, emask: int) -> dict[int, int]:
+    """Breadth-first distance from the nearest of ``sources`` to each
+    vertex it reaches inside the vertex set ``vset``, walking only the
+    edges of g whose ids are set in ``emask``."""
+    vset = set(vset)
+    allowed = [e for j, e in enumerate(g.edges) if (emask >> j) & 1]
+    dist = {v: 0 for v in sources if v in vset}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a, b in allowed:
+                w = b if a == v else a if b == v else None
+                if w is not None and w in vset and w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def reachable(g: Graph, start: int, vset, emask: int) -> set[int]:
+    """The vertices of ``vset`` reachable from ``start`` (empty unless
+    ``start`` is in ``vset``) along the edges set in ``emask``."""
+    return set(distances(g, (start,), vset, emask))
+
+
 def is_edge_packing(g: Graph, s: tuple[int, ...], trees) -> bool:
     """True iff every member of ``trees``, an edge list, is an S-tree of g
     (graph edges only, spanning S, connected and acyclic) and no two

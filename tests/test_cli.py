@@ -202,6 +202,14 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "guard 1..2" in captured.err
 
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_r5_beyond_guard(self, capsys, max_n):
+        # the seeded formula sampler needs at least one variable
+        assert main(["verify", "--reduction", "R5", "--max-n", max_n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"max_vars={max_n} outside the exhaustive-generation guard" in captured.err
+
     def test_stdout_is_deterministic(self, capsys):
         main(["verify", "--reduction", "R1"])
         first = capsys.readouterr().out

@@ -14,7 +14,8 @@ from genconn.graphs import (
     Graph,
     GraphError,
     ThreeDMInstance,
-    _reachable_mask,
+    _reach,
+    is_connected,
 )
 from genconn.reductions import (
     reduce_3dm_to_p1,
@@ -171,14 +172,15 @@ class TestClassical:
     def test_pair_values_match_menger_flows_n5(self):
         # two-terminal packing values coincide with the flow computations
         # for every pair of every connected graph with n <= 5
-        from genconn.solver import _edge_flow, _vertex_flow
+        from genconn.bounds import _edge_network, _max_flow, _vertex_flow
 
         for g in gen_connected_graphs(5):
             if g.n < 2:
                 continue
+            network = _edge_network(g)
             for u, v in combinations(range(g.n), 2):
                 assert kappa_set(g, (u, v)).value == _vertex_flow(g, u, v)
-                assert lambda_set(g, (u, v)).value == _edge_flow(g, u, v)
+                assert lambda_set(g, (u, v)).value == _max_flow(network, u, v)
 
 
 class TestDeterminism:
@@ -281,38 +283,72 @@ class TestPackingAgainstOracle:
                     assert verify_packing_result(g, s, rl, vertex_mode=False)
 
 
+def _members(mask: int) -> set[int]:
+    return {x for x in range(mask.bit_length()) if (mask >> x) & 1}
+
+
+def _kappa_parts(g: Graph, s_mask: int) -> tuple[list[int], int]:
+    """A kappa color's shared adjacency (without terminal-terminal pairs)
+    and the mask of its terminal-terminal edges."""
+    base = [
+        a & ~s_mask if (s_mask >> v) & 1 else a for v, a in enumerate(g.adjacency)
+    ]
+    ss_edges = sum(
+        1 << j
+        for j, (u, v) in enumerate(g.edges)
+        if (s_mask >> u) & 1 and (s_mask >> v) & 1
+    )
+    return base, ss_edges
+
+
 class TestVertexReach:
     def test_matches_edge_walk_n5(self):
         # a kappa color's subgraph: the terminals and its own non-terminal
         # vertices, every edge with a non-terminal endpoint, and its own
         # terminal-terminal edges; reachability over vertex adjacency
         # without terminal-terminal pairs, plus those own edges, must equal
-        # the edge-by-edge walk
+        # the oracle's walk over the same edges
         rng = random.Random(29)
         for g in gen_connected_graphs(5):
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
                     s_mask = sum(1 << t for t in s)
-                    base = [
-                        a & ~s_mask if (s_mask >> v) & 1 else a
-                        for v, a in enumerate(g.adjacency)
-                    ]
-                    ss_edges = sum(
-                        1 << j
-                        for j, (u, v) in enumerate(g.edges)
-                        if (s_mask >> u) & 1 and (s_mask >> v) & 1
-                    )
+                    base, ss_edges = _kappa_parts(g, s_mask)
                     shared_e = g.all_edges_mask & ~ss_edges
                     inner = g.all_vertices_mask & ~s_mask
                     for _ in range(2):
                         vset = s_mask | (inner & rng.getrandbits(g.n))
                         links = ss_edges & rng.getrandbits(g.m)
                         for t in s:
-                            assert solver._vertex_reach(
-                                base, g.edges, 1 << t, vset, links
-                            ) == _reachable_mask(g, 1 << t, vset, shared_e | links), (
-                                g.edges, s, vset, links,
-                            )
+                            got = _reach(base, g.incident, g.edges, 1 << t, vset, links)
+                            assert _members(got) == oracles.reachable(
+                                g, t, _members(vset), shared_e | links
+                            ), (g.edges, s, vset, links)
+
+    def test_lambda_links_n5(self):
+        # a lambda color shares every vertex and no edge: zero adjacency,
+        # and the walk goes over its links alone
+        rng = random.Random(31)
+        for g in gen_connected_graphs(5):
+            base = [0] * g.n
+            for _ in range(3):
+                links = rng.getrandbits(g.m)
+                for t in range(g.n):
+                    got = _reach(
+                        base, g.incident, g.edges, 1 << t, g.all_vertices_mask, links
+                    )
+                    assert _members(got) == oracles.reachable(
+                        g, t, range(g.n), links
+                    ), (g.edges, links, t)
+
+    def test_is_connected_every_subset_n5(self):
+        for g in gen_connected_graphs(5):
+            for mask in range(1 << g.n):
+                within = _members(mask)
+                expect = not within or oracles.reachable(
+                    g, min(within), within, g.all_edges_mask
+                ) == within
+                assert is_connected(g, within) == expect, (g.edges, within)
 
     def test_complete_graphs_all_terminals(self):
         # with S = V every item is a terminal-terminal edge
@@ -321,6 +357,67 @@ class TestVertexReach:
             res = kappa_set(g, s)
             assert res.value == oracles.max_packing(g, s, "vertex")
             assert verify_packing_result(g, s, res, vertex_mode=True)
+
+
+class TestLayerOrder:
+    """``solver._layer_order`` against the order it names: candidates by
+    the oracle BFS distance of their key vertex (the vertex item itself,
+    or an edge item's endpoint outside the component) from the terminals
+    outside the component over the open subgraph, then by id, with
+    unreached candidates last."""
+
+    def _check(self, g, s, off, base, items_v, items_e, rng):
+        s_mask = sum(1 << t for t in s)
+        shared_v = g.all_vertices_mask & ~items_v
+        shared_e = g.all_edges_mask & ~items_e
+        for _ in range(3):
+            # a component with some but not all terminals
+            inside = rng.sample(s, rng.randint(1, len(s) - 1))
+            k = sum(1 << t for t in inside) | (items_v & rng.getrandbits(g.n))
+            open_v = items_v & ~k & rng.getrandbits(g.n)
+            open_e = items_e & rng.getrandbits(g.m)
+            near = 0
+            cut = 0
+            for v in _members(k):
+                near |= g.adjacency[v]
+                cut ^= g.incident[v]
+            cands = (near & open_v) | ((cut & open_e) << off)
+            sources = s_mask & ~k
+            through = (shared_v | open_v) & ~k
+            got = solver._layer_order(
+                base, g.incident, g.edges, off, sources, through, open_e, cands
+            )
+            comp = _members(k)
+            dist = oracles.distances(
+                g, _members(sources), _members(through), shared_e | open_e
+            )
+            keyed = []
+            for x in _members(cands):
+                if x < off:
+                    key = x
+                else:
+                    u, v = g.edges[x - off]
+                    key = v if u in comp else u
+                keyed.append((dist.get(key, float("inf")), x))
+            assert got == [x for _d, x in sorted(keyed)], (g.edges, s, k, open_v, open_e)
+
+    def test_kappa_n5(self):
+        rng = random.Random(37)
+        for g in gen_connected_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    s_mask = sum(1 << t for t in s)
+                    base, ss_edges = _kappa_parts(g, s_mask)
+                    self._check(
+                        g, s, g.n, base, g.all_vertices_mask & ~s_mask, ss_edges, rng
+                    )
+
+    def test_lambda_n5(self):
+        rng = random.Random(41)
+        for g in gen_connected_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    self._check(g, s, 0, [0] * g.n, 0, g.all_edges_mask, rng)
 
 
 class TestPackingUpperBound:
