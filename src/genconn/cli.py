@@ -6,11 +6,16 @@ exception, reported with its traceback on stderr).  stdout carries
 exactly the machine-readable result; diagnostics go to stderr.  The environment
 variable ``GENCONN_FORCE=1`` overrides the desk-scale size guards (the
 random seed can only be set by flag, never by environment).
+
+The argument parser is built once per process, on the first ``main``
+call, and reused by every later call; ``GENCONN_FORCE`` and the handler
+for each command are looked up on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -124,6 +129,7 @@ def _cmd_verify(args) -> int:
     return exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genconn",
@@ -147,7 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print the witness trees")
     p_solve.add_argument("--force", action="store_true",
                          help="override desk-scale size guards")
-    p_solve.set_defaults(run=_cmd_solve)
 
     p_reduce = sub.add_parser("reduce", help="apply an instance transformation")
     p_reduce.add_argument("kind", choices=list(_REDUCE_KINDS))
@@ -157,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated 0-based terminal ids")
     p_reduce.add_argument("--k", type=int, help="target terminal count (expand-k)")
     p_reduce.add_argument("--l", type=int, help="packing threshold (expand-k, expand-l)")
-    p_reduce.set_defaults(run=_cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="certify reductions against oracles")
     p_verify.add_argument("--reduction", required=True,
@@ -165,18 +169,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--out", help="write the full report to this file")
-    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.run(args)
+        # by name on every call, so a wrapper or patch on ``_cmd_*`` is seen
+        return globals()[f"_cmd_{args.command}"](args)
     except solver.GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

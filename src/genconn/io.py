@@ -4,8 +4,8 @@ Graph format::
 
     graph <n> <m>
     e <u> <v>            (m lines, 0 <= u < v < n)
-    parts <p0> ... <p_{n-1}>   (optional, each p in {0,1,2})
-    set <k> <v1> ... <vk>      (optional terminal set)
+    parts <p0> ... <p_{n-1}>   (optional, each p in {0,1,2}; at most once)
+    set <k> <v1> ... <vk>      (optional terminal set; at most once)
 
 Lines starting with ``#`` and blank lines are ignored.  Parsing preserves
 edge order; serialization canonicalizes (edges sorted lexicographically).
@@ -84,6 +84,8 @@ def parse_graph_and_set(text: str | bytes) -> tuple[Graph, tuple[int, ...] | Non
             seen.add((u, v))
             edges.append((u, v))
         elif tag == "parts":
+            if part_tag is not None:
+                raise FormatError(f"line {lineno}: second parts line")
             vals = _ints(fields[1:], lineno)
             if len(vals) != n:
                 raise FormatError(
@@ -93,6 +95,8 @@ def parse_graph_and_set(text: str | bytes) -> tuple[Graph, tuple[int, ...] | Non
                 raise FormatError(f"line {lineno}: part values must be 0, 1 or 2")
             part_tag = tuple(vals)
         elif tag == "set":
+            if terminals is not None:
+                raise FormatError(f"line {lineno}: second set line")
             vals = _ints(fields[1:], lineno)
             if not vals or len(vals) != vals[0] + 1:
                 raise FormatError(f"line {lineno}: malformed set line {line!r}")

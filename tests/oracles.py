@@ -146,29 +146,37 @@ def problem1_by_permutations(g: Graph) -> bool:
 
 def max_packing(g: Graph, s: tuple[int, ...], mode: str) -> int:
     """Maximum pairwise-compatible subset of all S-trees; mode is
-    'vertex' (internally disjoint) or 'edge' (edge-disjoint)."""
+    'vertex' (internally disjoint) or 'edge' (edge-disjoint).  Two trees
+    are compatible when they share no edge and, in vertex mode, no
+    non-terminal vertex.  Each tree's compatible trees are one bitmask
+    over the tree list: all trees less those that hold one of its items."""
     trees = all_stein_trees(g, s)
     sset = frozenset(s)
 
-    def compatible(a, b) -> bool:
-        if a[1] & b[1]:
-            return False
-        if mode == "vertex":
-            return a[0] & b[0] == sset
-        return True
+    items = [es | (vs - sset) if mode == "vertex" else es for vs, es in trees]
+    holders: dict = {}
+    for i, held in enumerate(items):
+        for item in held:
+            holders[item] = holders.get(item, 0) | 1 << i
+    everything = (1 << len(trees)) - 1
+    compatible = []
+    for held in items:
+        clash = 0
+        for item in held:
+            clash |= holders[item]
+        compatible.append(everything & ~clash)
 
     best = 0
 
-    def extend(chosen_count: int, candidates: list) -> None:
+    def extend(chosen_count: int, candidates: int) -> None:
         nonlocal best
         best = max(best, chosen_count)
-        if chosen_count + len(candidates) <= best:
+        if chosen_count + candidates.bit_count() <= best:
             return
-        for idx, t in enumerate(candidates):
-            extend(
-                chosen_count + 1,
-                [u for u in candidates[idx + 1:] if compatible(t, u)],
-            )
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            extend(chosen_count + 1, candidates & compatible[low.bit_length() - 1])
 
-    extend(0, trees)
+    extend(0, everything)
     return best

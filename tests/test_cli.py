@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import internally_disjoint_r5
+from genconn import cli
 from genconn.cli import main
 from genconn.io import parse_graph_and_set
 
@@ -90,6 +96,88 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: internal: RuntimeError: kernel fault" in captured.err
+
+
+    def test_second_set_line_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "c4.graph"
+        f.write_text("graph 4 4\ne 0 1\ne 0 3\ne 1 2\ne 2 3\nset 2 0 2\nset 2 1 3\n")
+        assert main(["solve", "lambda-set", "-g", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 7: second set line" in captured.err
+
+
+class TestReusedParser:
+    """One parser serves every ``main`` call in a process; no call may
+    see what an earlier one parsed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_witness_flag_does_not_leak(self, p3, capsys):
+        assert main(["solve", "kappa-set", "-g", p3, "-S", "0,2", "--witness"]) == 0
+        assert main(["solve", "kappa-set", "-g", p3, "-S", "0,2"]) == 0
+        assert capsys.readouterr().out == "1\ntree: e 0 1 ; e 1 2\n1\n"
+
+    def test_terminal_flag_does_not_leak(self, tmp_path, capsys):
+        # a triangle 0 1 2 with pendant 3: lambda{0,3} = 1, lambda{0,1} = 2
+        f = tmp_path / "paw.graph"
+        f.write_text("graph 4 4\ne 0 1\ne 0 2\ne 1 2\ne 2 3\nset 2 0 1\n")
+        assert main(["solve", "lambda-set", "-g", str(f), "-S", "0,3"]) == 0
+        assert main(["solve", "lambda-set", "-g", str(f)]) == 0
+        assert capsys.readouterr().out == "1\n2\n"
+
+    def test_force_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        edges = "".join(f"e {i} {i+1}\n" for i in range(17))
+        f = tmp_path / "big.graph"
+        f.write_text(f"graph 18 17\n{edges}")
+        argv = ["solve", "kappa-k", "-g", str(f), "-k", "2"]
+        monkeypatch.delenv("GENCONN_FORCE", raising=False)
+        assert main(argv) == 3
+        monkeypatch.setenv("GENCONN_FORCE", "1")
+        assert main(argv) == 0
+        monkeypatch.delenv("GENCONN_FORCE")
+        assert main(argv) == 3
+
+    @pytest.mark.parametrize("argv,code", [(["solve"], 2), (["--help"], 0)])
+    def test_repeated_call_same_output(self, capsys, argv, code):
+        assert main(list(argv)) == code
+        first = capsys.readouterr()
+        assert main(list(argv)) == code
+        assert capsys.readouterr() == first
+        assert (first.out if code == 0 else first.err).startswith("usage: genconn")
+
+    def test_patched_handler_is_seen(self, p3, capsys, monkeypatch):
+        assert main(["solve", "lambda-set", "-g", p3, "-S", "0,2"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_solve", lambda args: calls.append(args.problem) or 0)
+        assert main(["solve", "lambda-set", "-g", p3, "-S", "0,2"]) == 0
+        assert calls == ["lambda-set"]
+        assert capsys.readouterr().out == "1\n"
+
+
+def test_process_entry_point(tmp_path):
+    """``python -m genconn.cli`` in a fresh interpreter: one parser, built
+    on the only call."""
+    f = tmp_path / "k4.graph"
+    f.write_text(K4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "genconn.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = run("solve", "lambda-set", "-g", str(f), "-S", "0,1", "--witness")
+    assert (ok.returncode, ok.stdout) == (
+        0, "3\ntree: e 0 1\ntree: e 0 2 ; e 1 2\ntree: e 0 3 ; e 1 3\n")
+    usage = run("solve")
+    assert (usage.returncode, usage.stdout) == (2, "")
+    assert "the following arguments are required" in usage.stderr
 
 
 class TestReduce:

@@ -65,6 +65,20 @@ class TestParseGraph:
         with pytest.raises(FormatError, match="line 2.*set"):
             parse_graph("graph 2 0\nset 1 5\n")
 
+    def test_second_set_line_names_its_line(self):
+        with pytest.raises(FormatError, match="line 7: second set line"):
+            parse_graph_and_set(
+                "graph 4 4\ne 0 1\ne 0 3\ne 1 2\ne 2 3\nset 2 0 2\nset 2 1 3\n"
+            )
+
+    def test_second_parts_line_names_its_line(self):
+        with pytest.raises(FormatError, match="line 4: second parts line"):
+            parse_graph("graph 3 1\ne 0 1\nparts 0 1 2\nparts 2 1 0\n")
+
+    def test_one_parts_and_one_set_in_either_order(self):
+        g, s = parse_graph_and_set("graph 3 1\ne 0 1\nset 2 2 0\nparts 0 1 2\n")
+        assert (g.part_tag, s) == ((0, 1, 2), (0, 2))
+
     def test_preserves_edge_order(self):
         g = parse_graph("graph 3 2\ne 1 2\ne 0 1\n")
         assert g.edges == ((1, 2), (0, 1))
