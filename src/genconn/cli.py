@@ -44,7 +44,7 @@ def _parse_terminal_flag(raw: str) -> tuple[int, ...]:
 
 def _load_graph_and_set(args) -> tuple[Graph, tuple[int, ...] | None]:
     g, file_set = io.parse_graph_and_set(_read(args.input))
-    if getattr(args, "terminals", None):
+    if args.terminals is not None:  # an empty -S is malformed, not absent
         return g, _parse_terminal_flag(args.terminals)
     return g, file_set
 

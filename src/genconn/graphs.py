@@ -288,6 +288,81 @@ def _reach(
     return reached
 
 
+def _paths(
+    base: Sequence[int],
+    inc: Sequence[int],
+    edges: Sequence[tuple[int, int]],
+    start: int,
+    targets: int,
+    vset: int,
+    links: int,
+) -> tuple[int, int] | None:
+    """Shortest paths from the vertices ``start`` to every vertex of
+    ``targets`` in ``_reach``'s subgraph, as (vertex mask, link mask): the
+    vertices on the paths and the ids of the ``links`` edges they use, a
+    step along ``base`` (which must be symmetric) using none.  None when
+    some target is not reachable.
+
+    The walk is ``_reach``'s, kept layer by layer and stopped once every
+    target is reached.  Walking back, each vertex on a path takes a parent
+    in the layer before it: a ``base`` neighbour, one already on a path
+    first, else the lowest one; failing that, the lowest ``links`` edge to
+    that layer."""
+    reached = frontier = start & vset
+    layers = [frontier]
+    missing = targets & ~reached
+    while missing:
+        nxt = 0
+        if links:
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                v = b.bit_length() - 1
+                nxt |= base[v]
+                e = inc[v] & links
+                while e:
+                    eb = e & -e
+                    e ^= eb
+                    x, y = edges[eb.bit_length() - 1]
+                    nxt |= (1 << x) | (1 << y)
+        else:
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= base[b.bit_length() - 1]
+        frontier = nxt & vset & ~reached
+        if not frontier:
+            return None
+        reached |= frontier
+        missing &= ~frontier
+        layers.append(frontier)
+    on_path = targets
+    used = 0
+    for d in range(len(layers) - 1, 0, -1):
+        prev = layers[d - 1]
+        cur = on_path & layers[d]
+        while cur:
+            b = cur & -cur
+            cur ^= b
+            v = b.bit_length() - 1
+            p = base[v] & prev
+            if p:
+                p = p & on_path or p
+                on_path |= p & -p
+                continue
+            e = inc[v] & links
+            while e:
+                eb = e & -e
+                e ^= eb
+                x, y = edges[eb.bit_length() - 1]
+                w = y if x == v else x
+                if (prev >> w) & 1:
+                    used |= eb
+                    on_path |= 1 << w
+                    break
+    return on_path, used
+
+
 def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
     """True iff the graph (or the subgraph induced by ``within``) has one
     connected component.  The empty graph and single vertices count as

@@ -14,19 +14,22 @@ subgraph is the shared part plus its own items:
 
 Both kinds walk a color's subgraph the same way: ``base``, the vertex
 adjacency of the shared edges (all zeros for lambda), plus ``links``, the
-edge items the color owns or may still take.  One reach,
-``graphs._reach``, and one BFS-layer order, ``_layer_order``, serve both.
+edge items the color owns or may still take.  One path walk,
+``graphs._paths``, and one BFS-layer order, ``_layer_order``, serve both.
 
 A color is satisfied once its subgraph connects the terminals.  The search
 repeatedly picks the first unsatisfied color and branches over which free
 item attaches to its most constrained terminal component, trying items
 closer to a missing terminal first; a tried item is banned from that color
 in the remaining branches, which makes the enumeration exhaustive without
-duplicates.  Prunes: every color still needs a private item at every
-terminal (counting argument on the free items attachable there); every color
-must still be able to connect the terminals through its own plus free
-items; and, for edge-disjoint packings, merging c components of a color
-takes at least c - 1 free edges.  A decision stops at the first packing of
+duplicates; a component with one candidate takes it without ordering.
+Prunes: every color still needs a private item at every terminal
+(counting argument on the free items attachable there); every color must
+still be able to connect the terminals through its own plus free items,
+which is walked again only once the color has lost an item of its
+*support*, the items on the paths that connected them at its last walk;
+and, for edge-disjoint packings, merging c components of a color takes at
+least c - 1 free edges.  A decision stops at the first packing of
 colors; a maximum raises l until the decision fails and turns only the
 last packing into trees.  Branch order is fixed, so values and witnesses
 are deterministic.  ``_search_trees`` describes how a node is computed:
@@ -52,6 +55,7 @@ from .graphs import (
     GraphError,
     SteinerTree,
     ThreeDMInstance,
+    _paths,
     _reach,
     is_connected,
 )
@@ -129,12 +133,12 @@ def _layer_order(
     walk is ``_reach``'s, from the vertices ``start`` through the vertices
     ``through``; each layer gives, in bit order, its vertex items and the
     edge items with an endpoint in it.  Unreached items come last, in bit
-    order."""
+    order; so does the last item left, which ends the walk."""
     vbits = (1 << off) - 1
     order = []
     rest = cands
     seen = frontier = start
-    while frontier and rest:
+    while frontier and rest & (rest - 1):
         found = frontier & vbits & rest
         nxt = 0
         if links:
@@ -188,8 +192,19 @@ def _search_trees(
     ``links``, the edge items it owns or may still take.  ``base`` is the
     adjacency without terminal-terminal pairs in vertex mode, where every
     shared edge has a non-terminal endpoint, and all zeros in edge mode,
-    where no edge is shared.  The reachability prune walks this subgraph
-    with ``_reach``, and the branch order comes from ``_layer_order``.
+    where no edge is shared.  The branch order comes from ``_layer_order``.
+
+    The reachability prune keeps each color's support: an item mask that,
+    with the shared part, connects the color's terminals.  Every color
+    starts from one walk of the whole item set.  A color whose support
+    lies in its own plus open items passes without a walk.  Any
+    other color is walked by ``_paths`` from the first terminal, which
+    stops once every terminal is reached; its paths give the new support,
+    their non-terminal vertex items and their edge items.  A missed
+    terminal fails the node, as it would with a full walk, so the verdict
+    at every node is that of a full walk.  A support left over from a
+    backtracked branch is only a guess: it is checked against the color's
+    items before it is trusted.
 
     Each color's terminal components are kept in order of least terminal
     and updated as items join: the components an item touches (its
@@ -199,7 +214,8 @@ def _search_trees(
     items leaving it (the XOR of ``inc`` over it).  They are tried in BFS
     layers of the open subgraph from the terminals outside the component,
     so by the distance of the vertex item or of the edge item's outside
-    endpoint, then by id; unreached candidates come last.
+    endpoint, then by id; unreached candidates come last.  A single
+    candidate is tried without a walk.
     """
     inc = g.incident
     edges = g.edges
@@ -242,6 +258,12 @@ def _search_trees(
     free = vert_items | (edge_items << off)
     # Component lists are replaced, never changed in place.
     comps = [[1 << t for t in terminals]] * l
+    # Items that, with the shared part, connect a color's terminals; at
+    # the first node every color may use every item, so one walk serves all.
+    found = _paths(base, inc, edges, 1 << t0, s_mask, shared_v | vert_items, edge_items)
+    if found is None:
+        return None
+    support = [(found[0] & vert_items) | (found[1] << off)] * l
 
     def merge(cl: list[int], x: int) -> list[int]:
         """``cl`` after item x joins the color: the components x touches
@@ -316,19 +338,27 @@ def _search_trees(
                     have += 1
             if l - have > (at & free).bit_count():
                 return None
-        # Per-color reachability through own plus unassigned items.
+        # Per-color reachability through own plus unassigned items, walked
+        # only when an item of the color's support has left them.
         for i in range(l):
             own = color[i] | (free & ~ban[i])
-            reach = _reach(
-                base, inc, edges, 1 << t0, shared_v | (own & vbits), own >> off
+            if support[i] & ~own:
+                found = _paths(
+                    base, inc, edges, 1 << t0, s_mask,
+                    shared_v | (own & vbits), own >> off,
+                )
+                if found is None:
+                    return None
+                support[i] = (found[0] & vert_items) | (found[1] << off)
+        if fewest == 1:
+            order = [cands.bit_length() - 1]
+        else:
+            open_items = free & ~ban[target]
+            order = _layer_order(
+                base, inc, edges, off, s_mask & ~target_k,
+                (shared_v | (open_items & vbits)) & ~target_k, open_items >> off,
+                cands,
             )
-            if s_mask & ~reach:
-                return None
-        open_items = free & ~ban[target]
-        order = _layer_order(
-            base, inc, edges, off, s_mask & ~target_k,
-            (shared_v | (open_items & vbits)) & ~target_k, open_items >> off, cands,
-        )
         # Bans are scoped to this node: branch r excludes the items tried
         # by branches 1..r-1, and the whole set is restored on failure.
         saved = ban[target]

@@ -144,13 +144,16 @@ def problem1_by_permutations(g: Graph) -> bool:
     return False
 
 
-def max_packing(g: Graph, s: tuple[int, ...], mode: str) -> int:
+def max_packing(g: Graph, s: tuple[int, ...], mode: str, trees=None) -> int:
     """Maximum pairwise-compatible subset of all S-trees; mode is
     'vertex' (internally disjoint) or 'edge' (edge-disjoint).  Two trees
     are compatible when they share no edge and, in vertex mode, no
     non-terminal vertex.  Each tree's compatible trees are one bitmask
-    over the tree list: all trees less those that hold one of its items."""
-    trees = all_stein_trees(g, s)
+    over the tree list: all trees less those that hold one of its items.
+    ``trees`` is ``all_stein_trees(g, s)``, enumerated here when omitted;
+    a caller asking for both modes can enumerate once and pass it."""
+    if trees is None:
+        trees = all_stein_trees(g, s)
     sset = frozenset(s)
 
     items = [es | (vs - sset) if mode == "vertex" else es for vs, es in trees]

@@ -59,6 +59,15 @@ class TestSolve:
         assert main(["solve", "kappa-set", "-g", p3]) == 2
         assert "requires -S" in capsys.readouterr().err
 
+    def test_empty_set_flag_is_usage_error(self, tmp_path, capsys):
+        # an empty -S must not fall back to the file's set line
+        f = tmp_path / "with_set.graph"
+        f.write_text(P3 + "set 2 0 2\n")
+        assert main(["solve", "lambda-set", "-g", str(f), "-S", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed terminal list ''" in captured.err
+
     def test_set_from_file(self, tmp_path, capsys):
         f = tmp_path / "with_set.graph"
         f.write_text(P3 + "set 2 0 2\n")
@@ -250,6 +259,15 @@ class TestReduce:
         code = main(["reduce", argv[0], "-g", k4, *argv[1:], "-o", str(out)])
         assert code == 2
         assert f"{argv[0]} requires -S" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_set_flag_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "with_set.graph"
+        src.write_text(P3 + "set 2 0 2\n")
+        out = tmp_path / "out.graph"
+        code = main(["reduce", "linegraph", "-g", str(src), "-S", "", "-o", str(out)])
+        assert code == 2
+        assert "malformed terminal list ''" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reduce_then_solve_pipeline(self, p3, tmp_path, capsys):

@@ -14,6 +14,7 @@ from genconn.graphs import (
     Graph,
     GraphError,
     ThreeDMInstance,
+    _paths,
     _reach,
     is_connected,
 )
@@ -276,8 +277,11 @@ class TestPackingAgainstOracle:
                 for s in combinations(range(g.n), size):
                     rk = kappa_set(g, s)
                     rl = lambda_set(g, s)
-                    assert rk.value == oracles.max_packing(g, s, "vertex"), (g.edges, s)
-                    assert rl.value == oracles.max_packing(g, s, "edge"), (g.edges, s)
+                    trees = oracles.all_stein_trees(g, s)
+                    assert rk.value == oracles.max_packing(g, s, "vertex", trees), (
+                        g.edges, s)
+                    assert rl.value == oracles.max_packing(g, s, "edge", trees), (
+                        g.edges, s)
                     assert rl.value >= rk.value
                     assert verify_packing_result(g, s, rk, vertex_mode=True)
                     assert verify_packing_result(g, s, rl, vertex_mode=False)
@@ -357,6 +361,53 @@ class TestVertexReach:
             res = kappa_set(g, s)
             assert res.value == oracles.max_packing(g, s, "vertex")
             assert verify_packing_result(g, s, res, vertex_mode=True)
+
+
+class TestSupportWalk:
+    """``graphs._paths``, the walk that gives a color its support: it fails
+    exactly when the oracle walk misses a terminal, and otherwise the
+    support items plus the shared part alone connect every terminal."""
+
+    def _check(self, g, s, base, vset, links, shared_v, shared_e):
+        s_mask = sum(1 << t for t in s)
+        t0 = s[0]
+        got = _paths(base, g.incident, g.edges, 1 << t0, s_mask, vset, links)
+        reach = oracles.reachable(g, t0, _members(vset), shared_e | links)
+        if not set(s) <= reach:
+            assert got is None, (g.edges, s, vset, links)
+            return
+        assert got is not None, (g.edges, s, vset, links)
+        path_v, used = got
+        assert not path_v & ~vset and not used & ~links
+        assert set(s) <= oracles.reachable(
+            g, t0, _members(shared_v | path_v), shared_e | used
+        ), (g.edges, s, vset, links, got)
+
+    def test_kappa_n5(self):
+        rng = random.Random(43)
+        for g in gen_connected_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    s_mask = sum(1 << t for t in s)
+                    base, ss_edges = _kappa_parts(g, s_mask)
+                    inner = g.all_vertices_mask & ~s_mask
+                    for _ in range(2):
+                        vset = s_mask | (inner & rng.getrandbits(g.n))
+                        links = ss_edges & rng.getrandbits(g.m)
+                        self._check(
+                            g, s, base, vset, links, s_mask,
+                            g.all_edges_mask & ~ss_edges,
+                        )
+
+    def test_lambda_n5(self):
+        rng = random.Random(47)
+        for g in gen_connected_graphs(5):
+            base = [0] * g.n
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    links = rng.getrandbits(g.m)
+                    vmask = g.all_vertices_mask
+                    self._check(g, s, base, vmask, links, vmask, 0)
 
 
 class TestLayerOrder:
@@ -457,6 +508,24 @@ class TestPackingUpperBound:
             assert lambda_set(g, s).value == best
             for l in range(best + 2):
                 assert decide_lambda_set(g, s, l) == (l <= best)
+
+
+class TestLongCycle:
+    # C200 with antipodal terminals: nearly every node of the search
+    # passes the reachability prune on a color's support, without a walk
+    C200 = Graph.from_edges(200, [(i, (i + 1) % 200) for i in range(200)])
+    S = (0, 100)
+
+    @pytest.mark.parametrize("maximum, decide, vertex_mode", [
+        (kappa_set, decide_kappa_set, True),
+        (lambda_set, decide_lambda_set, False),
+    ])
+    def test_two_paths(self, maximum, decide, vertex_mode):
+        res = maximum(self.C200, self.S)
+        assert res.value == 2
+        assert verify_packing_result(self.C200, self.S, res, vertex_mode=vertex_mode)
+        assert decide(self.C200, self.S, 2)
+        assert not decide(self.C200, self.S, 3)
 
 
 @st.composite
