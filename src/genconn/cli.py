@@ -49,6 +49,12 @@ def _load_graph_and_set(args) -> tuple[Graph, tuple[int, ...] | None]:
     return g, file_set
 
 
+def _empty_set(name: str) -> GraphError:
+    """The error for a graph file whose 'set' line names no terminal."""
+    return GraphError(
+        f"{name} got an empty terminal set from the graph file's 'set 0' line")
+
+
 def _force(args) -> bool:
     return bool(getattr(args, "force", False)) or os.environ.get("GENCONN_FORCE") == "1"
 
@@ -57,7 +63,9 @@ def _cmd_solve(args) -> int:
     g, terminals = _load_graph_and_set(args)
     problem = args.problem
     need_set = problem in ("kappa-set", "lambda-set")
-    if need_set and not terminals:
+    if need_set and terminals == ():
+        raise _empty_set(problem)
+    if need_set and terminals is None:
         raise GraphError(f"{problem} requires -S or a 'set' line in the graph file")
 
     if problem in ("kappa", "lambda"):
@@ -94,7 +102,9 @@ def _cmd_reduce(args) -> int:
     if row.reads == "graph_and_set":
         g, terminals = _load_graph_and_set(args)
         params = tuple(getattr(args, flag) for flag in row.flags)
-        if not terminals or None in params:
+        if terminals == ():
+            raise _empty_set(args.kind)
+        if terminals is None or None in params:
             raise GraphError(f"{args.kind} requires -S or a 'set' line in the graph file"
                              + "".join(f", --{flag}" for flag in row.flags))
         source = (g, terminals, *params)

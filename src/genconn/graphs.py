@@ -44,19 +44,31 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...] = ()
     part_tag: tuple[int, ...] | None = None
+    # Per-vertex bitmasks of neighbor vertices and of incident edge
+    # indices, built while the edges are validated.
+    adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    incident: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise GraphError(f"negative vertex count {self.n}")
-        seen = set()
+        adj = [0] * self.n
+        inc = [0] * self.n
+        bit = 1
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
+            if (adj[u] >> v) & 1:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            inc[u] |= bit
+            inc[v] |= bit
+            bit <<= 1
+        object.__setattr__(self, "adjacency", tuple(adj))
+        object.__setattr__(self, "incident", tuple(inc))
         if self.part_tag is not None:
             if len(self.part_tag) != self.n:
                 raise GraphError(
@@ -95,24 +107,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_set
-
-    @cached_property
-    def incident(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of incident edge indices."""
-        inc = [0] * self.n
-        for j, (u, v) in enumerate(self.edges):
-            inc[u] |= 1 << j
-            inc[v] |= 1 << j
-        return tuple(inc)
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of neighbor vertices."""
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
 
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()

@@ -41,6 +41,17 @@ degree, the nearest-terminal partition bound of Nash-Williams and Tutte,
 and the least Menger edge cut from the first terminal.  A decision above
 their least is answered no without searching, and a maximum never
 searches above it.
+
+A search runs on the instance after ``_steiner_reduce``, the degree tests
+of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
+non-terminals of degree <= 1 are deleted, runs of degree-2 non-terminals
+that close on themselves are deleted, and longer runs are contracted to
+one vertex.  A minimal S-tree holds no deleted vertex and takes a run
+whole or not at all, so both packing numbers are unchanged; witness trees
+are found on the reduced graph and mapped back edge by edge.  A graph
+with no non-terminal leaf and no two adjacent degree-2 non-terminals is
+searched as it is, after one pass over its adjacency.  An n-cycle with
+two terminals becomes a 4-cycle.
 """
 
 from __future__ import annotations
@@ -389,23 +400,183 @@ def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> boo
     return not s_mask & ~reached
 
 
+def _steiner_reduce(g: Graph, s_mask: int) -> tuple[Graph, list[tuple[int, int]]] | None:
+    """The degree tests of Steiner reduction (Duin and Volgenant 1989) on
+    a packing instance, or None when none applies:
+
+    - a non-terminal of degree <= 1 is deleted, repeatedly;
+    - a run of degree-2 non-terminals that is a cycle, or whose two ends
+      are one vertex, is deleted, and the leaf rule runs again;
+    - each remaining run of k >= 2 degree-2 non-terminals is contracted
+      to its lowest vertex, joined to both ends.
+
+    A minimal S-tree has no non-terminal leaf, so it holds no deleted
+    vertex and takes a run whole or not at all: kappa(S) and lambda(S)
+    are those of the reduced graph.  That graph keeps the vertex ids, a
+    deleted or contracted vertex staying isolated, and orders its edges
+    by the least input edge each covers.  With it come its edges' rows
+    for ``_lift``: the input vertices an edge stands in for, and the
+    input edges it covers; a contracted edge covers its half of the run.
+
+    A rule applies only where a non-terminal has degree <= 1 or two
+    degree-2 non-terminals are adjacent, which one pass over the
+    adjacency tests before any other work."""
+    adj = g.adjacency
+    low = 0  # the non-terminals of degree <= 2
+    hit = 0
+    bit = 1
+    for a in adj:
+        if a.bit_count() < 3 and not s_mask & bit:
+            if a & low or not a & (a - 1):  # next to an earlier one, or a leaf
+                hit = 1
+            low |= bit
+        bit <<= 1
+    if not hit:
+        return None
+
+    # A deleted vertex keeps no neighbours in ``nb``.
+    nb = list(adj)
+    todo = low  # the non-terminals that may have degree 2
+    stack = []
+    m = low
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        if nb[v].bit_count() < 2:
+            stack.append(v)
+    while True:
+        while stack:  # the leaf rule
+            v = stack.pop()
+            a = nb[v]
+            nb[v] = 0
+            if a:
+                w = a.bit_length() - 1
+                nb[w] ^= 1 << v
+                if not (s_mask >> w) & 1:
+                    todo |= 1 << w
+                    if nb[w].bit_count() < 2:
+                        stack.append(w)
+        chains = []
+        closed = False  # a deleted closed run changes its end's degree
+        m = todo
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if nb[v].bit_count() != 2:
+                continue
+            # Walk the run through v both ways, to its two ends.
+            p = nb[v] & -nb[v]
+            sides = []
+            for first in (p, nb[v] ^ p):
+                run = []
+                prev, cur = v, first.bit_length() - 1
+                while cur != v and not (s_mask >> cur) & 1 and nb[cur].bit_count() == 2:
+                    run.append(cur)
+                    prev, cur = cur, (nb[cur] ^ (1 << prev)).bit_length() - 1
+                sides.append((run, cur))
+                if cur == v:
+                    break
+            if len(sides) == 1:  # a cycle of degree-2 non-terminals
+                run = [v, *sides[0][0]]
+                ends = ()
+            else:
+                (left, a), (right, z) = sides
+                run = [*reversed(left), v, *right]
+                ends = (a, *run, z)
+            for x in run:
+                m &= ~(1 << x)
+            if not ends or ends[0] == ends[-1]:
+                for x in run:
+                    nb[x] = 0
+                if ends:
+                    a = ends[0]
+                    nb[a] &= ~((1 << run[0]) | (1 << run[-1]))
+                    if not (s_mask >> a) & 1:
+                        todo |= 1 << a
+                        if nb[a].bit_count() < 2:
+                            stack.append(a)
+                closed = True
+            elif len(run) >= 2:
+                chains.append(ends)
+        if not closed:
+            break
+
+    # Each half of a contracted run is one edge, keyed by its least input edge.
+    halves = {}
+    chain_edges = 0
+    inc = g.incident
+    for ends in chains:
+        c = min(ends[1:-1])
+        i = ends.index(c)
+        for lo, hi in ((0, i), (i, len(ends) - 1)):
+            extra = covered = 0
+            for k in range(lo, hi):
+                covered |= inc[ends[k]] & inc[ends[k + 1]]
+                extra |= 1 << ends[k + 1]
+            extra &= ~((1 << ends[hi]) | (1 << c))
+            chain_edges |= covered
+            least = (covered & -covered).bit_length() - 1
+            halves[least] = (ends[lo], ends[hi], extra, covered)
+    edges = []
+    rows = []
+    for j, (u, v) in enumerate(g.edges):
+        if (chain_edges >> j) & 1:
+            half = halves.get(j)
+            if half is not None:
+                u, v, extra, covered = half
+                edges.append((u, v) if u < v else (v, u))
+                rows.append((extra, covered))
+        elif (nb[u] >> v) & 1:
+            edges.append((u, v))
+            rows.append((0, 1 << j))
+    return Graph(g.n, tuple(edges)), rows
+
+
+def _lift(rows: Sequence[tuple[int, int]], tv: int, te: int) -> tuple[int, int]:
+    """The input (vertex mask, edge mask) of the subgraph (tv, te) of a
+    reduced graph whose edge rows are ``rows``."""
+    em = 0
+    while te:
+        b = te & -te
+        te ^= b
+        extra, covered = rows[b.bit_length() - 1]
+        tv |= extra
+        em |= covered
+    return tv, em
+
+
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
     terminals = _check_terminals(g, s)
     s_mask = _mask_of(terminals)
-    if not _terminals_connected(g, terminals, s_mask):
-        return PackingResult(0, ())
-    witness = [(g.all_vertices_mask, g.all_edges_mask)]
     ub = packing_upper_bound(g, terminals)
+    # A bound of 2 or more takes a Menger flow of 2 or more from the first
+    # terminal to each other one, so only a lower bound leaves open
+    # whether the terminals are connected; a bound of 0 says they are not.
+    if not ub or ub == 1 and not _terminals_connected(g, terminals, s_mask):
+        return PackingResult(0, ())
+    h, rows = g, None
+    if ub >= 2:
+        reduced = _steiner_reduce(g, s_mask)
+        if reduced is not None:
+            h, rows = reduced
+    witness = None
     l = 2
     while l <= ub:
-        found = _search_trees(g, s_mask, terminals, l, vertex_mode)
+        found = _search_trees(h, s_mask, terminals, l, vertex_mode)
         if found is None:
             break
         witness = found
         l += 1
-    trees = (_first_tree(g, terminals, *sub) for sub in witness)
+    if witness is None:  # no two trees: one tree of the input graph
+        h, rows = g, None
+        witness = [(g.all_vertices_mask, g.all_edges_mask)]
+    trees = [_first_tree(h, terminals, *sub) for sub in witness]
+    if rows is not None:
+        trees = [_lift(rows, tv, te) for tv, te in trees]
     return PackingResult(
-        len(witness), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
+        len(trees), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )
 
 
@@ -420,6 +591,9 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     s_mask = _mask_of(terminals)
     if l == 1:
         return _terminals_connected(g, terminals, s_mask)
+    reduced = _steiner_reduce(g, s_mask)
+    if reduced is not None:
+        g = reduced[0]
     return _search_trees(g, s_mask, terminals, l, vertex_mode) is not None
 
 

@@ -74,6 +74,16 @@ class TestSolve:
         assert main(["solve", "lambda-set", "-g", str(f)]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_empty_set_line_is_named(self, tmp_path, capsys):
+        # the file has a set line, so the message must not ask for one
+        f = tmp_path / "c4.graph"
+        f.write_text("graph 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\nset 0\n")
+        assert main(["solve", "lambda-set", "-g", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda-set got an empty terminal set" in captured.err
+        assert "requires -S" not in captured.err
+
     def test_guard_exit_code(self, tmp_path, capsys):
         edges = "".join(f"e {i} {i+1}\n" for i in range(17))
         f = tmp_path / "big.graph"
@@ -268,6 +278,18 @@ class TestReduce:
         code = main(["reduce", "linegraph", "-g", str(src), "-S", "", "-o", str(out)])
         assert code == 2
         assert "malformed terminal list ''" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_set_line_is_named(self, tmp_path, capsys):
+        src = tmp_path / "c4.graph"
+        src.write_text("graph 4 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\nset 0\n")
+        out = tmp_path / "out.graph"
+        code = main(["reduce", "expand-l", "-g", str(src), "--l", "3", "-o", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expand-l got an empty terminal set" in captured.err
+        assert "requires -S" not in captured.err
         assert not out.exists()
 
     def test_reduce_then_solve_pipeline(self, p3, tmp_path, capsys):

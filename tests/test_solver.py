@@ -70,6 +70,13 @@ class TestKappaSet:
         res = kappa_set(g, (0, 2))
         assert res.value == 0 and res.witness == ()
 
+    def test_split_terminals_of_degree_two_zero(self):
+        # every terminal degree is 2, so only the Menger cut shows the split
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        for maximum in (kappa_set, lambda_set):
+            res = maximum(g, (0, 3))
+            assert res.value == 0 and res.witness == ()
+
     def test_requires_two_terminals(self):
         with pytest.raises(GraphError, match="two"):
             kappa_set(K3, (0,))
@@ -223,7 +230,7 @@ class TestDeterminism:
                     for r in (kappa_set(g, s), lambda_set(g, s)):
                         h.update(_result_repr(r))
         assert h.hexdigest() == (
-            "76d00454f1a2d08674b299ce9710994921765ac76d4eda3ffee528f6924d5a36"
+            "37d082cbd59d9737e2ea5549e7c9214539b7a45f0cea9fc2ab9969ec4d0c319b"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -511,21 +518,105 @@ class TestPackingUpperBound:
 
 
 class TestLongCycle:
-    # C200 with antipodal terminals: nearly every node of the search
-    # passes the reachability prune on a color's support, without a walk
-    C200 = Graph.from_edges(200, [(i, (i + 1) % 200) for i in range(200)])
-    S = (0, 100)
-
+    # Antipodal terminals on a cycle: the reduction contracts each half to
+    # one vertex, so the search runs on a 4-cycle whatever the length
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
     ])
     def test_two_paths(self, maximum, decide, vertex_mode):
-        res = maximum(self.C200, self.S)
-        assert res.value == 2
-        assert verify_packing_result(self.C200, self.S, res, vertex_mode=vertex_mode)
-        assert decide(self.C200, self.S, 2)
-        assert not decide(self.C200, self.S, 3)
+        for n in (200, 1500):
+            cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+            s = (0, n // 2)
+            res = maximum(cycle, s)
+            assert res.value == 2
+            assert verify_packing_result(cycle, s, res, vertex_mode=vertex_mode)
+            assert decide(cycle, s, 2)
+            assert not decide(cycle, s, 3)
+
+
+def _subdivided_with_tail(g: Graph) -> Graph:
+    """g with every edge subdivided once and a two-vertex path hung on
+    vertex 0; kappa(S) and lambda(S) of an S inside g stay the same."""
+    edges = []
+    n = g.n
+    for u, v in g.edges:
+        edges += [(u, n), (n, v)]
+        n += 1
+    edges += [(0, n), (n, n + 1)]
+    return Graph.from_edges(n + 2, edges)
+
+
+def _k4_with(n: int, extra) -> Graph:
+    """K4 on vertices 0..3 plus the edges ``extra``, on n vertices."""
+    return Graph.from_edges(n, [*combinations(range(4), 2), *extra])
+
+
+class TestSteinerReduction:
+    def test_metamorphic_n4(self):
+        for g in gen_connected_graphs(4):
+            if g.n < 2:
+                continue
+            h = _subdivided_with_tail(g)
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    assert solver._steiner_reduce(h, sum(1 << t for t in s)) is not None
+                    trees = oracles.all_stein_trees(g, s)
+                    for mode, vertex_mode, maximum in (
+                        ("vertex", True, kappa_set),
+                        ("edge", False, lambda_set),
+                    ):
+                        res = maximum(h, s)
+                        assert res.value == oracles.max_packing(g, s, mode, trees), (
+                            g.edges, s, mode)
+                        assert verify_packing_result(h, s, res, vertex_mode=vertex_mode)
+
+    # (graph, terminals, edges of the reduced graph)
+    CASES = {
+        # the closed run 4-5-6 at vertex 2 is deleted
+        "cycle hung on a vertex": (
+            _k4_with(7, [(2, 4), (4, 5), (5, 6), (2, 6)]), (0, 1), 6),
+        # the run 4-5 between the adjacent 2 and 3 becomes 2-4-3
+        "chain between adjacent ends": (
+            _k4_with(6, [(2, 4), (4, 5), (3, 5)]), (0, 1), 8),
+        # the run 4-5-6 between the terminals 0 and 1 becomes 0-4-1
+        "chain between terminals": (
+            _k4_with(7, [(0, 4), (4, 5), (5, 6), (1, 6)]), (0, 1), 8),
+        # the leaves 5 and 7 go first, then 6, then 4
+        "pendant tree": (
+            _k4_with(8, [(2, 4), (4, 5), (4, 6), (6, 7)]), (0, 1, 3), 6),
+        # deleting the closed run 5-6 leaves 4 with degree 2, so 7-4
+        # becomes one run between the terminals 0 and 1
+        "end drops to degree 2": (
+            _k4_with(8, [(0, 7), (4, 7), (1, 4), (4, 5), (5, 6), (4, 6)]), (0, 1), 8),
+        # deleting the closed run 9-10 leaves 8 a leaf
+        "end drops to degree 1": (
+            _k4_with(11, [(2, 8), (8, 9), (9, 10), (8, 10)]), (0, 3), 6),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("mode, vertex_mode, maximum, decide", [
+        ("vertex", True, kappa_set, decide_kappa_set),
+        ("edge", False, lambda_set, decide_lambda_set),
+    ])
+    def test_edge_cases(self, name, mode, vertex_mode, maximum, decide):
+        g, s, reduced_m = self.CASES[name]
+        h, rows = solver._steiner_reduce(g, sum(1 << t for t in s))
+        assert h.m == len(rows) == reduced_m
+        best = oracles.max_packing(g, s, mode)
+        res = maximum(g, s)
+        assert res.value == best
+        assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
+        assert decide(g, s, best)
+        assert not decide(g, s, best + 1)
+
+    def test_skips_graphs_without_a_rule(self):
+        # degree-2 non-terminals that are not adjacent, and terminal leaves
+        c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        assert solver._steiner_reduce(c6, 0b010101) is None
+        assert solver._steiner_reduce(P4, 0b1001) is not None
+        assert solver._steiner_reduce(P4, 0b1111) is None
+        assert solver._steiner_reduce(K4, 0b0011) is None
 
 
 @st.composite
