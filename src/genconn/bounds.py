@@ -3,7 +3,11 @@ max-flow behind them and behind the classical connectivities.
 
 ``packing_upper_bound`` gives the packing search its refutations without
 search: a threshold above the bound has no packing, so the solver answers
-no at once and never searches for a maximum above it.
+no at once and never searches for a maximum above it.  It is the least
+of four bounds: the least terminal degree, the partition bound of
+Nash-Williams and Tutte on the nearest-terminal partition
+(``_partition_bound``) and on the terminal stars (``_star_bound``), and
+the least Menger edge cut from the first terminal.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .graphs import Graph
+from .trees import _mask_of
 
 # Arc heads, arc capacities, and the arcs leaving each node.
 Network = tuple[list[int], list[int], list[list[int]]]
+
+STAR_ALL_MAX = 10  # terminal stars try every set of up to this many terminals
 
 
 def _flow_network(num_nodes: int, arcs: Iterable[tuple[int, int, int, int]]) -> Network:
@@ -118,6 +125,42 @@ def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
     return cross // (len(terminals) - 1)
 
 
+def _star_bound(g: Graph, terminals: Sequence[int], bound: int) -> int:
+    """The least of ``bound``, which must be at most the least terminal
+    degree, and ⌊edges touching T / |T|⌋ over sets T of 2 to |S| - 1
+    terminals.  The parts {t} for t in T and the rest, which holds a
+    terminal, partition V; each S-tree joins the |T| + 1 parts, so it
+    holds at least |T| edges touching T.
+
+    Only terminals with a terminal neighbour can take a star below the
+    least degree: a terminal without one adds its whole degree to the
+    count, so adding it to T never brings the quotient below both the
+    rest of T's and the least degree.  So T ranges over those terminals:
+    every such T when there are at most ``STAR_ALL_MAX`` of them, else the
+    prefixes of them by ascending degree."""
+    inc = g.incident
+    adj = g.adjacency
+    s_mask = _mask_of(terminals)
+    near = [t for t in terminals if adj[t] & s_mask]
+    if len(near) <= STAR_ALL_MAX:
+        # touch[i]: the edges touching the terminals of the bits of i
+        touch = [0]
+        for t in near:
+            touch += [m | inc[t] for m in touch]
+        top = len(touch) - 1 if len(near) == len(terminals) else len(touch)
+        for i in range(3, top):
+            c = i.bit_count()
+            if c > 1:
+                bound = min(bound, touch[i].bit_count() // c)
+        return bound
+    near.sort(key=lambda t: inc[t].bit_count())
+    m = inc[near[0]]
+    for c, t in enumerate(near[1 : len(terminals) - 1], 2):
+        m |= inc[t]
+        bound = min(bound, m.bit_count() // c)
+    return bound
+
+
 def packing_upper_bound(
     g: Graph, terminals: Sequence[int], limit: int | None = None
 ) -> int:
@@ -127,7 +170,8 @@ def packing_upper_bound(
     - the least terminal degree, as each tree has its own edge at every
       terminal;
     - for |S| >= 3, the partition bound of ``_partition_bound``
-      (Nash-Williams 1961; Tutte 1961);
+      (Nash-Williams 1961; Tutte 1961) on the nearest-terminal partition,
+      then on the terminal stars of ``_star_bound``;
     - the least edge cut between ``terminals[0]`` and each other terminal
       (Menger), as each tree holds a path between the two.
 
@@ -150,6 +194,9 @@ def packing_upper_bound(
         return bound
     if len(terminals) >= 3:
         bound = min(bound, _partition_bound(g, terminals))
+        if bound < stop:
+            return bound
+        bound = _star_bound(g, terminals, bound)
         if bound < stop:
             return bound
     network = _edge_network(g)

@@ -30,17 +30,24 @@ which is walked again only once the color has lost an item of its
 *support*, the items on the paths that connected them at its last walk;
 and, for edge-disjoint packings, merging c components of a color takes at
 least c - 1 free edges.  A decision stops at the first packing of
-colors; a maximum raises l until the decision fails and turns only the
-last packing into trees.  Branch order is fixed, so values and witnesses
-are deterministic.  ``_search_trees`` describes how a node is computed:
-item masks, candidate masks, cached components and the branch order.
+colors.  A maximum searches first at the upper bound described below;
+only when that fails does it search at l = 2, 3, ... until a decision
+fails.  It turns only the packing at the value into trees.  Branch
+order is fixed, so values and witnesses are deterministic, and the
+witness is that of the search at the value whichever way it was
+reached.  ``kappa_k`` and ``lambda_k`` decide each subset at the least
+value so far, compute a value only for a subset below it, and build no
+trees.  ``_search_trees`` describes how a node is computed: item masks,
+candidate masks, cached components and the branch order.
 
-Before any search, ``bounds.packing_upper_bound`` tries three polynomial
+Before any search, ``bounds.packing_upper_bound`` tries four polynomial
 upper bounds on the packing number, cheapest first: the least terminal
-degree, the nearest-terminal partition bound of Nash-Williams and Tutte,
-and the least Menger edge cut from the first terminal.  A decision above
-their least is answered no without searching, and a maximum never
-searches above it.
+degree, the Nash-Williams and Tutte partition bound on the
+nearest-terminal partition and on the terminal stars, and the least
+Menger edge cut from the first terminal.  A decision above their least
+is answered no without searching, and a maximum never searches above
+it.  With two terminals the Menger cut is lambda itself, so an
+edge-disjoint decision at |S| = 2 is answered from the bound alone.
 
 A search runs on the instance after ``_steiner_reduce``, the degree tests
 of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
@@ -547,31 +554,48 @@ def _lift(rows: Sequence[tuple[int, int]], tv: int, te: int) -> tuple[int, int]:
     return tv, em
 
 
-def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
-    terminals = _check_terminals(g, s)
-    s_mask = _mask_of(terminals)
-    ub = packing_upper_bound(g, terminals)
+def _max_search(
+    g: Graph, terminals: Sequence[int], s_mask: int, ub: int, vertex_mode: bool
+) -> tuple[Graph, list[tuple[int, int]] | None, list[tuple[int, int]]]:
+    """A maximum packing at the terminals, given an upper bound ub on its
+    size: the graph searched, its edge rows from ``_steiner_reduce`` or
+    None, and one (vertex mask, edge mask) subgraph per tree.  A packing of
+    one tree, which no search decides, is the whole input graph.
+
+    The search runs at ub first, and only when that fails at l = 2, 3, ...
+    until a decision fails.  Either way the subgraphs are those of
+    ``_search_trees`` at the packing number, which is deterministic."""
     # A bound of 2 or more takes a Menger flow of 2 or more from the first
     # terminal to each other one, so only a lower bound leaves open
     # whether the terminals are connected; a bound of 0 says they are not.
     if not ub or ub == 1 and not _terminals_connected(g, terminals, s_mask):
-        return PackingResult(0, ())
+        return g, None, []
+    one_tree = g, None, [(g.all_vertices_mask, g.all_edges_mask)]
+    if ub == 1:
+        return one_tree
     h, rows = g, None
-    if ub >= 2:
-        reduced = _steiner_reduce(g, s_mask)
-        if reduced is not None:
-            h, rows = reduced
+    reduced = _steiner_reduce(g, s_mask)
+    if reduced is not None:
+        h, rows = reduced
+    found = _search_trees(h, s_mask, terminals, ub, vertex_mode)
+    if found is not None:
+        return h, rows, found
     witness = None
-    l = 2
-    while l <= ub:
+    for l in range(2, ub):
         found = _search_trees(h, s_mask, terminals, l, vertex_mode)
         if found is None:
             break
         witness = found
-        l += 1
-    if witness is None:  # no two trees: one tree of the input graph
-        h, rows = g, None
-        witness = [(g.all_vertices_mask, g.all_edges_mask)]
+    if witness is None:
+        return one_tree
+    return h, rows, witness
+
+
+def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
+    terminals = _check_terminals(g, s)
+    s_mask = _mask_of(terminals)
+    ub = packing_upper_bound(g, terminals)
+    h, rows, witness = _max_search(g, terminals, s_mask, ub, vertex_mode)
     trees = [_first_tree(h, terminals, *sub) for sub in witness]
     if rows is not None:
         trees = [_lift(rows, tv, te) for tv, te in trees]
@@ -591,6 +615,8 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     s_mask = _mask_of(terminals)
     if l == 1:
         return _terminals_connected(g, terminals, s_mask)
+    if not vertex_mode and len(terminals) == 2:
+        return True  # lambda({s, t}) is the Menger edge cut, in the bound
     reduced = _steiner_reduce(g, s_mask)
     if reduced is not None:
         g = reduced[0]
@@ -619,7 +645,11 @@ def decide_lambda_set(g: Graph, s: Iterable[int], l: int) -> bool:
     return _packing_decide(g, s, l, vertex_mode=False)
 
 
-def _subset_min(g: Graph, k: int, fn, force: bool) -> int:
+def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
+    """The least packing number over the k-subsets S.  Each subset after
+    the first is decided at the least value so far; only a subset below it
+    has its value computed, with one less than that value as its bound.
+    No witness trees are built."""
     if not (2 <= k <= g.n):
         raise GraphError(f"k={k} out of range 2..{g.n}")
     if g.n > SUBSET_GUARD_MAX_N and not force:
@@ -631,22 +661,23 @@ def _subset_min(g: Graph, k: int, fn, force: bool) -> int:
         return 0
     best = None
     for s in combinations(range(g.n), k):
-        val = fn(g, s).value
-        if best is None or val < best:
-            best = val
-            if best <= 1:
-                break  # connected graphs never go below 1
-    return best if best is not None else 0
+        if best is not None and _packing_decide(g, s, best, vertex_mode):
+            continue
+        ub = packing_upper_bound(g, s, None if best is None else best - 1)
+        best = len(_max_search(g, s, _mask_of(s), ub, vertex_mode)[2])
+        if best <= 1:
+            break  # connected graphs never go below 1
+    return best
 
 
 def kappa_k(g: Graph, k: int, force: bool = False) -> int:
     """min over all k-subsets S of kappa_set(g, S); 0 when g is disconnected."""
-    return _subset_min(g, k, kappa_set, force)
+    return _subset_min(g, k, True, force)
 
 
 def lambda_k(g: Graph, k: int, force: bool = False) -> int:
     """min over all k-subsets S of lambda_set(g, S); 0 when g is disconnected."""
-    return _subset_min(g, k, lambda_set, force)
+    return _subset_min(g, k, False, force)
 
 
 # ---------------------------------------------------------------------------

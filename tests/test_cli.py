@@ -199,6 +199,18 @@ def test_process_entry_point(tmp_path):
     assert "the following arguments are required" in usage.stderr
 
 
+def test_package_entry_point(tmp_path):
+    """``python -m genconn`` runs the same command line."""
+    f = tmp_path / "k4.graph"
+    f.write_text(K4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "genconn", "solve", "lambda-set", "-g", str(f), "-S", "0,1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (0, "3\n")
+
+
 class TestReduce:
     def test_3dm_p1_summary(self, tmp_path, capsys):
         inp = tmp_path / "a.3dm"

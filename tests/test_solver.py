@@ -147,6 +147,82 @@ class TestSubsetMinima:
             kappa_k(big, 2)
         assert kappa_k(big, 2, force=True) == 1
 
+    def test_minima_match_oracle_n4(self):
+        # later subsets are only decided at the running minimum, so a
+        # wrong decision or value below it would show here
+        for g in gen_connected_graphs(4):
+            if g.n < 2:
+                continue
+            for k in range(2, g.n + 1):
+                subsets = list(combinations(range(g.n), k))
+                trees = [oracles.all_stein_trees(g, s) for s in subsets]
+                for mode, fn in (("vertex", kappa_k), ("edge", lambda_k)):
+                    want = min(
+                        oracles.max_packing(g, s, mode, t) for s, t in zip(subsets, trees)
+                    )
+                    assert fn(g, k) == want, (g.edges, k, mode)
+
+
+def _count_searches(monkeypatch) -> list[int]:
+    """The thresholds of the ``_search_trees`` calls made from now on."""
+    calls = []
+    search = solver._search_trees
+
+    def counted(g, s_mask, terminals, l, vertex_mode):
+        calls.append(l)
+        return search(g, s_mask, terminals, l, vertex_mode)
+
+    monkeypatch.setattr(solver, "_search_trees", counted)
+    return calls
+
+
+def _forbidden(*args):
+    raise AssertionError("called")
+
+
+class TestSearchOrder:
+    def test_maximum_at_the_bound_searches_once(self, monkeypatch):
+        calls = _count_searches(monkeypatch)
+        res = lambda_set(K5, (0, 1))
+        assert res.value == 4
+        assert calls == [4]
+        assert verify_packing_result(K5, (0, 1), res, vertex_mode=False)
+
+    def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
+        # two K5s sharing vertex 0: four edges at each terminal and four
+        # edge-disjoint paths, but every S-tree passes through vertex 0
+        g = Graph.from_edges(
+            9, [*combinations(range(5), 2), *combinations((0, 5, 6, 7, 8), 2)]
+        )
+        calls = _count_searches(monkeypatch)
+        res = kappa_set(g, (1, 5))
+        assert calls == [4, 2]
+        assert res.value == 1
+        assert verify_packing_result(g, (1, 5), res, vertex_mode=True)
+
+    def test_subset_minima_decide_at_the_minimum(self, monkeypatch):
+        # K5 with k = 2: the first pair is searched at its bound, 4; every
+        # later pair is only decided at 4, by a search in kappa and by the
+        # Menger cut in lambda; no witness tree is built
+        monkeypatch.setattr(solver, "_first_tree", _forbidden)
+        calls = _count_searches(monkeypatch)
+        assert lambda_k(K5, 2) == 4
+        assert calls == [4]
+        calls.clear()
+        assert kappa_k(K5, 2) == 4
+        assert calls == [4] * 10
+
+    def test_two_terminal_lambda_decided_by_the_bound(self, monkeypatch):
+        # lambda({s, t}) is the local edge connectivity, which the bound's
+        # Menger flow computes
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        for g in gen_connected_graphs(4):
+            for s in combinations(range(g.n), 2):
+                best = oracles.max_packing(g, s, "edge")
+                top = max(g.incident[t].bit_count() for t in s) + 1
+                for l in range(top + 1):
+                    assert decide_lambda_set(g, s, l) == (l <= best), (g.edges, s, l)
+
 
 class TestClassical:
     def test_complete_graphs(self):
@@ -515,6 +591,62 @@ class TestPackingUpperBound:
             assert lambda_set(g, s).value == best
             for l in range(best + 2):
                 assert decide_lambda_set(g, s, l) == (l <= best)
+
+
+def _seeded_graph(i: int) -> tuple[Graph, tuple[int, ...]]:
+    """Graph i of the 150 seeded graphs: a random spanning tree on 7 to 9
+    vertices, every other pair with probability 0.35, 2 to 4 terminals."""
+    rng = random.Random(i)
+    n = rng.randint(7, 9)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for pair in combinations(range(n), 2):
+        if pair not in edges and rng.random() < 0.35:
+            edges.add(pair)
+    return Graph(n, tuple(sorted(edges))), tuple(rng.sample(range(n), rng.randint(2, 4)))
+
+
+class TestStarBound:
+    # lambda = 4 from the parts {1}, {2} and the rest: 9 edges touch 1 or
+    # 2; both terminals have degree 5 and the nearest-terminal partition
+    # gives 7
+    G8 = Graph(8, (
+        (0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 7), (2, 4), (2, 5),
+        (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    ))
+
+    def test_refutes_without_search(self, monkeypatch):
+        assert bounds._partition_bound(self.G8, (1, 2, 5)) == 7
+        assert bounds._star_bound(self.G8, (1, 2, 5), 5) == 4
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert not decide_lambda_set(self.G8, (1, 2, 5), 5)
+
+    def test_seeded_graphs(self):
+        for i in range(150):
+            g, s = _seeded_graph(i)
+            res = lambda_set(g, s)
+            assert packing_upper_bound(g, s) >= res.value, (i, g.edges, s)
+            assert verify_packing_result(g, s, res, vertex_mode=False), i
+
+    def test_every_star_n5(self):
+        # stars over terminals without a terminal neighbour are skipped;
+        # the least degree covers them, so the bound is that of every star
+        for g in gen_connected_graphs(5):
+            for size in range(3, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    least = min(g.incident[t].bit_count() for t in s)
+                    best = least
+                    for k in range(2, size):
+                        for part in combinations(s, k):
+                            touching = sum(1 for e in g.edges if set(e) & set(part))
+                            best = min(best, touching // k)
+                    assert bounds._star_bound(g, s, least) == best, (g.edges, s)
+
+    def test_prefixes_above_ten_terminals(self):
+        # K12 with S = V: every star of j terminals touches 11j - C(j, 2)
+        # edges, least per terminal at j = 11, which a prefix reaches
+        k12 = Graph(12, tuple(combinations(range(12), 2)))
+        assert bounds._star_bound(k12, tuple(range(12)), 99) == 6
+        assert bounds._star_bound(k12, tuple(range(11)), 99) == 6
 
 
 class TestLongCycle:
