@@ -20,7 +20,7 @@ from .trees import _mask_of
 # Arc heads, arc capacities, and the arcs leaving each node.
 Network = tuple[list[int], list[int], list[list[int]]]
 
-STAR_ALL_MAX = 10  # terminal stars try every set of up to this many terminals
+STAR_ALL_MAX = 10  # terminal stars are tried only up to this many terminals
 
 
 def _flow_network(num_nodes: int, arcs: Iterable[tuple[int, int, int, int]]) -> Network:
@@ -135,29 +135,23 @@ def _star_bound(g: Graph, terminals: Sequence[int], bound: int) -> int:
     Only terminals with a terminal neighbour can take a star below the
     least degree: a terminal without one adds its whole degree to the
     count, so adding it to T never brings the quotient below both the
-    rest of T's and the least degree.  So T ranges over those terminals:
-    every such T when there are at most ``STAR_ALL_MAX`` of them, else the
-    prefixes of them by ascending degree."""
+    rest of T's and the least degree.  So T ranges over every set of those
+    terminals, and over none when there are more than ``STAR_ALL_MAX``."""
     inc = g.incident
     adj = g.adjacency
     s_mask = _mask_of(terminals)
     near = [t for t in terminals if adj[t] & s_mask]
-    if len(near) <= STAR_ALL_MAX:
-        # touch[i]: the edges touching the terminals of the bits of i
-        touch = [0]
-        for t in near:
-            touch += [m | inc[t] for m in touch]
-        top = len(touch) - 1 if len(near) == len(terminals) else len(touch)
-        for i in range(3, top):
-            c = i.bit_count()
-            if c > 1:
-                bound = min(bound, touch[i].bit_count() // c)
+    if len(near) > STAR_ALL_MAX:
         return bound
-    near.sort(key=lambda t: inc[t].bit_count())
-    m = inc[near[0]]
-    for c, t in enumerate(near[1 : len(terminals) - 1], 2):
-        m |= inc[t]
-        bound = min(bound, m.bit_count() // c)
+    # touch[i]: the edges touching the terminals of the bits of i
+    touch = [0]
+    for t in near:
+        touch += [m | inc[t] for m in touch]
+    top = len(touch) - 1 if len(near) == len(terminals) else len(touch)
+    for i in range(3, top):
+        c = i.bit_count()
+        if c > 1:
+            bound = min(bound, touch[i].bit_count() // c)
     return bound
 
 

@@ -30,12 +30,14 @@ which is walked again only once the color has lost an item of its
 *support*, the items on the paths that connected them at its last walk;
 and, for edge-disjoint packings, merging c components of a color takes at
 least c - 1 free edges.  A decision stops at the first packing of
-colors.  A maximum searches first at the upper bound described below;
-only when that fails does it search at l = 2, 3, ... until a decision
-fails.  It turns only the packing at the value into trees.  Branch
-order is fixed, so values and witnesses are deterministic, and the
-witness is that of the search at the value whichever way it was
-reached.  ``kappa_k`` and ``lambda_k`` decide each subset at the least
+colors.  An edge-disjoint maximum searches first at the upper bound
+described below; only when that fails does it search at l = 2, 3, ...
+until a decision fails.  An internally disjoint maximum climbs from
+l = 2 to the bound, which counts edges and so can sit well above kappa
+at a vertex cut.  A maximum turns only the packing at the value into
+trees.  Branch order is fixed, so values and witnesses are
+deterministic, and the witness is that of the search at the value
+whichever way it was reached.  ``kappa_k`` and ``lambda_k`` decide each subset at the least
 value so far, compute a value only for a subset below it, and build no
 trees.  ``_search_trees`` describes how a node is computed: item masks,
 candidate masks, cached components and the branch order.
@@ -562,9 +564,11 @@ def _max_search(
     None, and one (vertex mask, edge mask) subgraph per tree.  A packing of
     one tree, which no search decides, is the whole input graph.
 
-    The search runs at ub first, and only when that fails at l = 2, 3, ...
-    until a decision fails.  Either way the subgraphs are those of
-    ``_search_trees`` at the packing number, which is deterministic."""
+    An edge-disjoint search runs at ub first, and only when that fails at
+    l = 2, 3, ... below ub until a decision fails; an internally disjoint
+    search runs at l = 2, 3, ... up to ub.  Either way the subgraphs are
+    those of ``_search_trees`` at the packing number, which is
+    deterministic."""
     # A bound of 2 or more takes a Menger flow of 2 or more from the first
     # terminal to each other one, so only a lower bound leaves open
     # whether the terminals are connected; a bound of 0 says they are not.
@@ -577,11 +581,17 @@ def _max_search(
     reduced = _steiner_reduce(g, s_mask)
     if reduced is not None:
         h, rows = reduced
-    found = _search_trees(h, s_mask, terminals, ub, vertex_mode)
-    if found is not None:
-        return h, rows, found
+    # The bounds are edge bounds: close to lambda, but blind to the vertex
+    # cuts that hold kappa below them, where a search at ub would be one
+    # more refutation on top of the one at kappa + 1.
+    top = ub + 1
+    if not vertex_mode:
+        found = _search_trees(h, s_mask, terminals, ub, vertex_mode)
+        if found is not None:
+            return h, rows, found
+        top = ub
     witness = None
-    for l in range(2, ub):
+    for l in range(2, top):
         found = _search_trees(h, s_mask, terminals, l, vertex_mode)
         if found is None:
             break

@@ -189,28 +189,47 @@ class TestSearchOrder:
         assert verify_packing_result(K5, (0, 1), res, vertex_mode=False)
 
     def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
+        # bound 3 from the nearest-terminal partition, lambda = 2
+        g = Graph.from_edges(6, [
+            (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+        ])
+        calls = _count_searches(monkeypatch)
+        res = lambda_set(g, (0, 1, 3))
+        assert calls == [3, 2]
+        assert res.value == 2
+        assert verify_packing_result(g, (0, 1, 3), res, vertex_mode=False)
+
+    def test_kappa_climbs_to_the_bound(self, monkeypatch):
         # two K5s sharing vertex 0: four edges at each terminal and four
-        # edge-disjoint paths, but every S-tree passes through vertex 0
+        # edge-disjoint paths, but every S-tree passes through vertex 0,
+        # so kappa never searches at the edge bound
         g = Graph.from_edges(
             9, [*combinations(range(5), 2), *combinations((0, 5, 6, 7, 8), 2)]
         )
         calls = _count_searches(monkeypatch)
         res = kappa_set(g, (1, 5))
-        assert calls == [4, 2]
+        assert calls == [2]
         assert res.value == 1
         assert verify_packing_result(g, (1, 5), res, vertex_mode=True)
+        calls.clear()
+        assert kappa_set(K5, (0, 1)).value == 4
+        assert calls == [2, 3, 4]
+        calls.clear()
+        assert lambda_set(g, (1, 5)).value == 4
+        assert calls == [4]
 
     def test_subset_minima_decide_at_the_minimum(self, monkeypatch):
-        # K5 with k = 2: the first pair is searched at its bound, 4; every
-        # later pair is only decided at 4, by a search in kappa and by the
-        # Menger cut in lambda; no witness tree is built
+        # K5 with k = 2: the first pair's value is searched for, at its
+        # bound 4 in lambda and at 2, 3, 4 in kappa; every later pair is
+        # only decided at 4, by a search in kappa and by the Menger cut in
+        # lambda; no witness tree is built
         monkeypatch.setattr(solver, "_first_tree", _forbidden)
         calls = _count_searches(monkeypatch)
         assert lambda_k(K5, 2) == 4
         assert calls == [4]
         calls.clear()
         assert kappa_k(K5, 2) == 4
-        assert calls == [4] * 10
+        assert calls == [2, 3] + [4] * 10
 
     def test_two_terminal_lambda_decided_by_the_bound(self, monkeypatch):
         # lambda({s, t}) is the local edge connectivity, which the bound's
@@ -641,12 +660,11 @@ class TestStarBound:
                             best = min(best, touching // k)
                     assert bounds._star_bound(g, s, least) == best, (g.edges, s)
 
-    def test_prefixes_above_ten_terminals(self):
-        # K12 with S = V: every star of j terminals touches 11j - C(j, 2)
-        # edges, least per terminal at j = 11, which a prefix reaches
+    def test_no_stars_above_ten_terminals(self):
+        # more than STAR_ALL_MAX adjacent terminals enumerate no star
         k12 = Graph(12, tuple(combinations(range(12), 2)))
-        assert bounds._star_bound(k12, tuple(range(12)), 99) == 6
-        assert bounds._star_bound(k12, tuple(range(11)), 99) == 6
+        assert bounds._star_bound(k12, tuple(range(11)), 99) == 99
+        assert bounds._star_bound(k12, tuple(range(10)), 99) < 99
 
 
 class TestLongCycle:
