@@ -5,9 +5,10 @@ max-flow behind them and behind the classical connectivities.
 search: a threshold above the bound has no packing, so the solver answers
 no at once and never searches for a maximum above it.  It is the least
 of four bounds: the least terminal degree, the partition bound of
-Nash-Williams and Tutte on the nearest-terminal partition
-(``_partition_bound``) and on the terminal stars (``_star_bound``), and
-the least Menger edge cut from the first terminal.
+Nash-Williams and Tutte on the nearest-terminal partition after a local
+search (``_partition_bound``) and on the terminal stars
+(``_star_bound``), and the least Menger edge cut from the first
+terminal.
 """
 
 from __future__ import annotations
@@ -99,11 +100,16 @@ def _edge_network(g: Graph) -> Network:
 
 
 def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
-    """⌊cross edges / (|S| - 1)⌋ on the partition that gives every vertex
-    to its nearest terminal (breadth-first from all terminals at once, ties
-    to the terminal that reaches it first).  Each S-tree joins the |S|
-    parts, so it holds at least |S| - 1 cross edges.  Vertices that no
-    terminal reaches stay out of every part; no edge joins them to one."""
+    """⌊cross edges / (|S| - 1)⌋ on a partition of V into |S| parts, one
+    per terminal.  Each S-tree joins the parts, so it holds at least
+    |S| - 1 cross edges.  The partition starts by giving every vertex to
+    its nearest terminal (breadth-first from all terminals at once, ties
+    to the terminal that reaches it first); vertices that no terminal
+    reaches stay out of every part, and no edge joins them to one.  A
+    local search then moves each non-terminal in turn to the part that
+    holds most of its neighbours while that cuts fewer edges, until no
+    move does.  Terminals never move, so every part keeps its terminal
+    and each partition passed is one the bound holds for."""
     owner = [-1] * g.n
     for t in terminals:
         owner[t] = t
@@ -122,6 +128,28 @@ def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
                 owner[w] = owner[v]
                 queue.append(w)
     cross = sum(1 for u, v in g.edges if owner[u] != owner[v])
+    part = dict.fromkeys(terminals, 0)
+    for v in queue:
+        part[owner[v]] |= 1 << v
+    movable = queue[len(terminals):]  # the non-terminals reached
+    moved = True
+    while moved:
+        moved = False
+        for v in movable:
+            nb = adj[v]
+            here = best = owner[v]
+            stay = (nb & part[here]).bit_count()
+            gain = 0
+            for t, mask in part.items():
+                d = (nb & mask).bit_count() - stay
+                if d > gain:
+                    best, gain = t, d
+            if gain:
+                part[here] ^= 1 << v
+                part[best] |= 1 << v
+                owner[v] = best
+                cross -= gain
+                moved = True
     return cross // (len(terminals) - 1)
 
 
@@ -164,8 +192,8 @@ def packing_upper_bound(
     - the least terminal degree, as each tree has its own edge at every
       terminal;
     - for |S| >= 3, the partition bound of ``_partition_bound``
-      (Nash-Williams 1961; Tutte 1961) on the nearest-terminal partition,
-      then on the terminal stars of ``_star_bound``;
+      (Nash-Williams 1961; Tutte 1961) on the nearest-terminal partition
+      after a local search, then on the terminal stars of ``_star_bound``;
     - the least edge cut between ``terminals[0]`` and each other terminal
       (Menger), as each tree holds a path between the two.
 

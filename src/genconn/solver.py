@@ -45,10 +45,10 @@ candidate masks, cached components and the branch order.
 Before any search, ``bounds.packing_upper_bound`` tries four polynomial
 upper bounds on the packing number, cheapest first: the least terminal
 degree, the Nash-Williams and Tutte partition bound on the
-nearest-terminal partition and on the terminal stars, and the least
-Menger edge cut from the first terminal.  A decision above their least
-is answered no without searching, and a maximum never searches above
-it.  With two terminals the Menger cut is lambda itself, so an
+nearest-terminal partition after a local search and on the terminal
+stars, and the least Menger edge cut from the first terminal.  A
+decision above their least is answered no without searching, and a
+maximum never searches above it.  With two terminals the Menger cut is lambda itself, so an
 edge-disjoint decision at |S| = 2 is answered from the bound alone.
 
 A search runs on the instance after ``_steiner_reduce``, the degree tests

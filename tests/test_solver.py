@@ -189,15 +189,16 @@ class TestSearchOrder:
         assert verify_packing_result(K5, (0, 1), res, vertex_mode=False)
 
     def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
-        # bound 3 from the nearest-terminal partition, lambda = 2
+        # bound 3 from the nearest-terminal partition, which no single
+        # move lowers; lambda = 2, from {0, 5}, {2} and {1, 3, 4}
         g = Graph.from_edges(6, [
-            (0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+            (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4),
         ])
         calls = _count_searches(monkeypatch)
-        res = lambda_set(g, (0, 1, 3))
+        res = lambda_set(g, (0, 2, 3))
         assert calls == [3, 2]
         assert res.value == 2
-        assert verify_packing_result(g, (0, 1, 3), res, vertex_mode=False)
+        assert verify_packing_result(g, (0, 2, 3), res, vertex_mode=False)
 
     def test_kappa_climbs_to_the_bound(self, monkeypatch):
         # two K5s sharing vertex 0: four edges at each terminal and four
@@ -602,6 +603,35 @@ class TestPackingUpperBound:
         monkeypatch.setattr(solver, "_search_trees", no_search)
         assert not decide_lambda_set(g, s, 4)
 
+    def test_partition_bounds_the_oracle_n5(self):
+        # the local search never takes the partition bound below the
+        # packing number
+        for g in gen_connected_graphs(5):
+            for size in range(3, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    best = oracles.max_packing(g, s, "edge")
+                    assert bounds._partition_bound(g, s) >= best, (g.edges, s)
+
+    def test_moved_partition_refutes_without_search(self, monkeypatch):
+        # r7-medium-k4-1 of the solve pool: the least degree, the
+        # nearest-terminal partition (9 cross edges), the stars and the
+        # Menger cuts all give 3; moving vertex 2 to vertex 4's part
+        # leaves 8 cross edges between 4 parts, so lambda = 2 needs one
+        # search and 3 none
+        g = Graph.from_edges(7, [
+            (4, 5), (0, 5), (2, 4), (2, 3), (1, 6), (5, 6), (3, 6), (2, 6), (1, 4),
+            (3, 4), (2, 5), (1, 2),
+        ])
+        s = (3, 4, 5, 6)
+        assert bounds._partition_bound(g, s) == 2
+        calls = _count_searches(monkeypatch)
+        res = lambda_set(g, s)
+        assert res.value == 2
+        assert calls == [2]
+        assert verify_packing_result(g, s, res, vertex_mode=False)
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert not decide_lambda_set(g, s, 3)
+
     def test_terminal_free_component(self):
         # the partition leaves the second triangle out of every part
         g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
@@ -627,14 +657,14 @@ def _seeded_graph(i: int) -> tuple[Graph, tuple[int, ...]]:
 class TestStarBound:
     # lambda = 4 from the parts {1}, {2} and the rest: 9 edges touch 1 or
     # 2; both terminals have degree 5 and the nearest-terminal partition
-    # gives 7
+    # gives 7, and 4 after its local search
     G8 = Graph(8, (
         (0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 7), (2, 4), (2, 5),
         (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
     ))
 
     def test_refutes_without_search(self, monkeypatch):
-        assert bounds._partition_bound(self.G8, (1, 2, 5)) == 7
+        assert bounds._partition_bound(self.G8, (1, 2, 5)) == 4
         assert bounds._star_bound(self.G8, (1, 2, 5), 5) == 4
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert not decide_lambda_set(self.G8, (1, 2, 5), 5)
