@@ -1,5 +1,6 @@
 """Polynomial upper bounds on packing numbers, and the unit-capacity
-max-flow behind them and behind the classical connectivities.
+max-flow behind them, behind the two-terminal packings and behind the
+classical connectivities.
 
 ``packing_upper_bound`` gives the packing search its refutations without
 search: a threshold above the bound has no packing, so the solver answers
@@ -9,94 +10,163 @@ Nash-Williams and Tutte on the nearest-terminal partition after a local
 search (``_partition_bound``) and on the terminal stars
 (``_star_bound``), and the least Menger edge cut from the first
 terminal.
+
+``_menger_flow`` is that cut's flow, run on the adjacency masks of the
+graph: edge-disjoint s-t paths, or internally disjoint ones, with no
+network built.  With two terminals it is exact in both modes (Menger),
+so the solver answers every two-terminal question with it and takes the
+flow's paths, from ``_flow_paths``, as the witness.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 from .trees import _mask_of
 
-# Arc heads, arc capacities, and the arcs leaving each node.
-Network = tuple[list[int], list[int], list[list[int]]]
-
 STAR_ALL_MAX = 10  # terminal stars are tried only up to this many terminals
 
 
-def _flow_network(num_nodes: int, arcs: Iterable[tuple[int, int, int, int]]) -> Network:
-    """Residual network of arcs (u, v, capacity, reverse capacity): the
-    head and capacity of each arc slot, and the slots leaving each node.
-    Slot a ^ 1 is the reverse of slot a."""
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v, c, r in arcs:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(r)
-    return to, cap, adj
+def _menger_flow(
+    adj: Sequence[int], s: int, t: int, vertex_mode: bool, limit: int | None = None
+) -> tuple[int, list[int]]:
+    """A maximum unit-capacity s-t flow in the graph of the adjacency
+    masks ``adj``: its value and, for each vertex u, the mask of the w
+    that u sends a unit to.  The value is the number of edge-disjoint s-t
+    paths, or with ``vertex_mode`` of internally disjoint ones, an edge st
+    being one path.  With ``limit`` set, augmenting stops once the value
+    reaches it, so the value is exact only when it is below ``limit``.
 
-
-def _max_flow(network: Network, s: int, t: int, limit: int | None = None) -> int:
-    """Edmonds-Karp on a residual network from ``_flow_network``, which
-    it leaves unchanged.  With ``limit`` set, augmenting stops once the
-    flow reaches it, so the result is the flow value only when it is
-    below ``limit``."""
-    to, cap, adj = network
-    cap = list(cap)
-    num_nodes = len(adj)
+    Each augmenting path comes from a breadth-first search kept as one
+    mask per layer, and is walked back from t through the layers.  In
+    edge mode a unit on uw cancels one on wu, so u's residual neighbours
+    are ``adj[u] & ~succ[u]``.  In vertex mode every vertex but s and t
+    carries at most one unit, with no split graph: the search reaches a
+    vertex either on its way in or on its way out.  A vertex on its way in
+    goes on out of itself if it carries no unit, or else back to the
+    vertex its unit comes from; a vertex on its way out goes on in to
+    each neighbour it sends no unit to, or back in to itself if it
+    carries a unit."""
+    succ = [0] * len(adj)
+    pred = [0] * len(adj)
+    top = min(adj[s].bit_count(), adj[t].bit_count())
+    if limit is not None:
+        top = min(top, limit)
+    sbit = 1 << s
+    tbit = 1 << t
+    used = 0  # vertex mode: the vertices other than s and t carrying a unit
     flow = 0
-    while limit is None or flow < limit:
-        prev_arc = [-1] * num_nodes
-        prev_arc[s] = -2
-        queue = [s]
-        head = 0
-        while head < len(queue) and prev_arc[t] == -1:
-            u = queue[head]
-            head += 1
-            for a in adj[u]:
-                v = to[a]
-                if cap[a] > 0 and prev_arc[v] == -1:
-                    prev_arc[v] = a
-                    queue.append(v)
-        if prev_arc[t] == -1:
-            return flow
-        bottleneck = 1 << 60
+    while flow < top:
+        if not vertex_mode:
+            layers = []
+            seen = frontier = sbit
+            while not frontier & tbit:
+                layers.append(frontier)
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    frontier ^= b
+                    u = b.bit_length() - 1
+                    nxt |= adj[u] & ~succ[u]
+                frontier = nxt & ~seen
+                if not frontier:
+                    return flow, succ
+                seen |= frontier
+            v = t
+            for layer in reversed(layers):
+                b = layer & adj[v] & ~pred[v]
+                b &= -b
+                u = b.bit_length() - 1
+                if (succ[v] >> u) & 1:  # cancel the unit from v to u
+                    succ[v] ^= b
+                    pred[u] ^= 1 << v
+                else:
+                    succ[u] |= 1 << v
+                    pred[v] |= b
+                v = u
+            flow += 1
+            continue
+        # Layer i is (vertices reached on the way in, on the way out); a
+        # vertex on its way out is reached in the layer of the vertex on
+        # its way in that it comes from.
+        layers = [(0, sbit)]
+        seen_in = seen_out = sbit
+        outs = sbit
+        while True:
+            ins = outs & used
+            while outs:
+                b = outs & -outs
+                outs ^= b
+                u = b.bit_length() - 1
+                ins |= adj[u] & ~succ[u]
+            ins &= ~seen_in
+            if not ins:
+                return flow, succ
+            if ins & tbit:
+                break
+            seen_in |= ins
+            outs = ins & ~used
+            m = ins & used
+            while m:
+                b = m & -m
+                m ^= b
+                outs |= pred[b.bit_length() - 1]
+            outs &= ~seen_out
+            seen_out |= outs
+            layers.append((ins, outs))
+        # Walk back from t on its way in, taking each move above backwards
+        # and changing the flow as it goes.
         v = t
-        while v != s:
-            a = prev_arc[v]
-            bottleneck = min(bottleneck, cap[a])
-            v = to[a ^ 1]
-        v = t
-        while v != s:
-            a = prev_arc[v]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        flow += bottleneck
-    return flow
+        for ins, outs in reversed(layers):
+            vb = 1 << v
+            if outs & used & vb:  # out of v and back in to it
+                used ^= vb
+            else:  # a new unit from u to v
+                b = outs & adj[v] & ~pred[v]
+                b &= -b
+                pred[v] |= b
+                v = b.bit_length() - 1
+                succ[v] |= vb
+                vb = b
+            # v on its way out: in and out of itself, or back from the w
+            # that its unit goes to; at layer 0, v is s
+            if ins & vb and not used & vb:
+                used |= vb
+            elif ins:
+                b = ins & succ[v] & used
+                b &= -b
+                succ[v] ^= b
+                v = b.bit_length() - 1
+                pred[v] ^= vb
+        flow += 1
+    return flow, succ
 
 
-def _vertex_flow(g: Graph, s: int, t: int) -> int:
-    """Maximum internally disjoint s-t paths: vertex-split unit-cap flow."""
-    big = g.n
-    arcs = []
-    for v in range(g.n):
-        arcs.append((2 * v, 2 * v + 1, big if v in (s, t) else 1, 0))
-    for u, v in g.edges:
-        arcs.append((2 * u + 1, 2 * v, 1, 0))
-        arcs.append((2 * v + 1, 2 * u, 1, 0))
-    return _max_flow(_flow_network(2 * g.n, arcs), 2 * s + 1, 2 * t)
-
-
-def _edge_network(g: Graph) -> Network:
-    """Unit-capacity network of g: each edge is a pair of opposite arcs,
-    each the other's reverse."""
-    return _flow_network(g.n, ((u, v, 1, 1) for u, v in g.edges))
+def _flow_paths(succ: Sequence[int], s: int, t: int) -> list[list[int]]:
+    """The s-t paths of a flow from ``_menger_flow``, as vertex lists, one
+    for each unit leaving s, in the order of the vertex it goes to.  Each
+    path follows the lowest unit out of each vertex; where it comes back
+    to a vertex already on it, the loop is cut off, so the paths are
+    simple and pairwise edge-disjoint."""
+    succ = list(succ)
+    paths = []
+    while succ[s]:
+        path = [s]
+        on = 1 << s
+        v = s
+        while v != t:
+            b = succ[v] & -succ[v]
+            succ[v] ^= b
+            v = b.bit_length() - 1
+            if (on >> v) & 1:
+                while path[-1] != v:
+                    on ^= 1 << path.pop()
+            else:
+                path.append(v)
+                on |= 1 << v
+        paths.append(path)
+    return paths
 
 
 def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
@@ -221,9 +291,8 @@ def packing_upper_bound(
         bound = _star_bound(g, terminals, bound)
         if bound < stop:
             return bound
-    network = _edge_network(g)
     for t in terminals[1:]:
-        bound = min(bound, _max_flow(network, terminals[0], t, bound))
+        bound = min(bound, _menger_flow(g.adjacency, terminals[0], t, False, bound)[0])
         if bound < stop:
             return bound
     return bound

@@ -37,19 +37,27 @@ l = 2 to the bound, which counts edges and so can sit well above kappa
 at a vertex cut.  A maximum turns only the packing at the value into
 trees.  Branch order is fixed, so values and witnesses are
 deterministic, and the witness is that of the search at the value
-whichever way it was reached.  ``kappa_k`` and ``lambda_k`` decide each subset at the least
-value so far, compute a value only for a subset below it, and build no
-trees.  ``_search_trees`` describes how a node is computed: item masks,
-candidate masks, cached components and the branch order.
+whichever way it was reached.  ``kappa_k`` and ``lambda_k`` decide each
+subset at the least value so far, compute a value only for a subset below
+it, and build no trees.  ``_search_trees`` describes how a node is
+computed: item masks, candidate masks, cached components and the branch
+order.
 
-Before any search, ``bounds.packing_upper_bound`` tries four polynomial
-upper bounds on the packing number, cheapest first: the least terminal
-degree, the Nash-Williams and Tutte partition bound on the
-nearest-terminal partition after a local search and on the terminal
-stars, and the least Menger edge cut from the first terminal.  A
-decision above their least is answered no without searching, and a
-maximum never searches above it.  With two terminals the Menger cut is lambda itself, so an
-edge-disjoint decision at |S| = 2 is answered from the bound alone.
+Two terminals never reach the search.  By Menger, kappa({s, t}) is the
+number of internally disjoint s-t paths, an edge st being one, and
+lambda({s, t}) the number of edge-disjoint ones; ``bounds._menger_flow``
+counts both on the adjacency masks.  A maximum is the flow, and its
+witness is the flow's paths; a decision at l >= 2 checks the least
+terminal degree, then runs the flow until it reaches l; ``kappa_k`` and
+``lambda_k`` at k = 2 take each pair's flow up to the least value so far.
+
+With three or more terminals, before any search,
+``bounds.packing_upper_bound`` tries four polynomial upper bounds on the
+packing number, cheapest first: the least terminal degree, the
+Nash-Williams and Tutte partition bound on the nearest-terminal partition
+after a local search and on the terminal stars, and the least Menger edge
+cut from the first terminal.  A decision above their least is answered no
+without searching, and a maximum never searches above it.
 
 A search runs on the instance after ``_steiner_reduce``, the degree tests
 of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
@@ -59,8 +67,7 @@ one vertex.  A minimal S-tree holds no deleted vertex and takes a run
 whole or not at all, so both packing numbers are unchanged; witness trees
 are found on the reduced graph and mapped back edge by edge.  A graph
 with no non-terminal leaf and no two adjacent degree-2 non-terminals is
-searched as it is, after one pass over its adjacency.  An n-cycle with
-two terminals becomes a 4-cycle.
+searched as it is, after one pass over its adjacency.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from .graphs import (
     _reach,
     is_connected,
 )
-from .bounds import _edge_network, _max_flow, _vertex_flow, packing_upper_bound
+from .bounds import _flow_paths, _menger_flow, packing_upper_bound
 from .trees import _check_terminals, _mask_of
 
 SUBSET_GUARD_MAX_N = 16  # kappa_k/lambda_k refuse larger graphs without force
@@ -603,12 +610,26 @@ def _max_search(
 
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
     terminals = _check_terminals(g, s)
-    s_mask = _mask_of(terminals)
-    ub = packing_upper_bound(g, terminals)
-    h, rows, witness = _max_search(g, terminals, s_mask, ub, vertex_mode)
-    trees = [_first_tree(h, terminals, *sub) for sub in witness]
-    if rows is not None:
-        trees = [_lift(rows, tv, te) for tv, te in trees]
+    if len(terminals) == 2:
+        # Menger: the packing number is the flow value, and its paths are
+        # a packing
+        inc = g.incident
+        succ = _menger_flow(g.adjacency, *terminals, vertex_mode)[1]
+        trees = []
+        for path in _flow_paths(succ, *terminals):
+            tv = 1 << path[0]
+            te = 0
+            for u, v in zip(path, path[1:]):
+                tv |= 1 << v
+                te |= inc[u] & inc[v]
+            trees.append((tv, te))
+    else:
+        s_mask = _mask_of(terminals)
+        ub = packing_upper_bound(g, terminals)
+        h, rows, witness = _max_search(g, terminals, s_mask, ub, vertex_mode)
+        trees = [_first_tree(h, terminals, *sub) for sub in witness]
+        if rows is not None:
+            trees = [_lift(rows, tv, te) for tv, te in trees]
     return PackingResult(
         len(trees), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )
@@ -620,13 +641,17 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     terminals = _check_terminals(g, s)
     if l == 0:
         return True
+    if l >= 2 and len(terminals) == 2:
+        # Menger: the packing number is the flow value
+        s0, t = terminals
+        if min(g.incident[s0].bit_count(), g.incident[t].bit_count()) < l:
+            return False
+        return _menger_flow(g.adjacency, s0, t, vertex_mode, l)[0] == l
     if packing_upper_bound(g, terminals, l) < l:
         return False
     s_mask = _mask_of(terminals)
     if l == 1:
         return _terminals_connected(g, terminals, s_mask)
-    if not vertex_mode and len(terminals) == 2:
-        return True  # lambda({s, t}) is the Menger edge cut, in the bound
     reduced = _steiner_reduce(g, s_mask)
     if reduced is not None:
         g = reduced[0]
@@ -659,7 +684,8 @@ def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
     """The least packing number over the k-subsets S.  Each subset after
     the first is decided at the least value so far; only a subset below it
     has its value computed, with one less than that value as its bound.
-    No witness trees are built."""
+    At k = 2 a pair's value is its Menger flow, stopped at the least value
+    so far.  No witness trees are built."""
     if not (2 <= k <= g.n):
         raise GraphError(f"k={k} out of range 2..{g.n}")
     if g.n > SUBSET_GUARD_MAX_N and not force:
@@ -670,6 +696,13 @@ def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
     if not is_connected(g):
         return 0
     best = None
+    if k == 2:
+        adj = g.adjacency
+        for u, v in combinations(range(g.n), 2):
+            best = _menger_flow(adj, u, v, vertex_mode, best)[0]
+            if best <= 1:
+                break
+        return best
     for s in combinations(range(g.n), k):
         if best is not None and _packing_decide(g, s, best, vertex_mode):
             continue
@@ -701,11 +734,12 @@ def classical_kappa(g: Graph) -> int:
         raise GraphError(f"connectivity undefined for n={g.n}")
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
+    adj = g.adjacency
     best = g.n - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                best = min(best, _vertex_flow(g, u, v))
+            if not (adj[u] >> v) & 1:
+                best = _menger_flow(adj, u, v, True, best)[0]
                 if best == 0:
                     return 0
     return best
@@ -715,14 +749,11 @@ def classical_lambda(g: Graph) -> int:
     """Edge connectivity via unit-capacity flows from a fixed source."""
     if g.n < 2:
         raise GraphError(f"edge connectivity undefined for n={g.n}")
-    network = _edge_network(g)
     best = None
     for t in range(1, g.n):
-        f = _max_flow(network, 0, t)
-        if best is None or f < best:
-            best = f
-            if best == 0:
-                return 0
+        best = _menger_flow(g.adjacency, 0, t, False, best)[0]
+        if best == 0:
+            return 0
     return best
 
 

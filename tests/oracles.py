@@ -95,6 +95,53 @@ def is_edge_packing(g: Graph, s: tuple[int, ...], trees) -> bool:
     return True
 
 
+def menger_count(g: Graph, s: int, t: int, mode: str) -> int:
+    """The most pairwise edge-disjoint ('edge') or internally disjoint
+    ('vertex') s-t paths, by augmenting paths on a dict of residual
+    capacities.  Each edge is two arcs of capacity 1, each the other's
+    reverse in edge mode; in vertex mode every vertex but s and t is split
+    into ('in', v) -> ('out', v) of capacity 1, and an edge st is one
+    path."""
+
+    def node(v, side):
+        return v if mode == "edge" or v in (s, t) else (side, v)
+
+    cap: dict = {}
+
+    def arc(a, b) -> None:
+        cap.setdefault(a, {})
+        cap.setdefault(b, {})
+        cap[a][b] = cap[a].get(b, 0) + 1
+        cap[b].setdefault(a, 0)
+
+    if mode == "vertex":
+        for v in range(g.n):
+            if v not in (s, t):
+                arc(("in", v), ("out", v))
+    for u, v in g.edges:
+        arc(node(u, "out"), node(v, "in"))
+        arc(node(v, "out"), node(u, "in"))
+    count = 0
+    while True:
+        parent = {s: None}
+        stack = [s]
+        while stack and t not in parent:
+            a = stack.pop()
+            for b, c in cap.get(a, {}).items():
+                if c and b not in parent:
+                    parent[b] = a
+                    stack.append(b)
+        if t not in parent:
+            return count
+        b = t
+        while parent[b] is not None:
+            a = parent[b]
+            cap[a][b] -= 1
+            cap[b][a] += 1
+            b = a
+        count += 1
+
+
 def minimal_stein_trees(g: Graph, s: tuple[int, ...]) -> list[tuple[frozenset, frozenset]]:
     """The S-trees every leaf of which is a terminal."""
     out = []

@@ -183,10 +183,10 @@ def _forbidden(*args):
 class TestSearchOrder:
     def test_maximum_at_the_bound_searches_once(self, monkeypatch):
         calls = _count_searches(monkeypatch)
-        res = lambda_set(K5, (0, 1))
-        assert res.value == 4
-        assert calls == [4]
-        assert verify_packing_result(K5, (0, 1), res, vertex_mode=False)
+        res = lambda_set(K5, (0, 1, 2))
+        assert res.value == 3
+        assert calls == [3]
+        assert verify_packing_result(K5, (0, 1, 2), res, vertex_mode=False)
 
     def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
         # bound 3 from the nearest-terminal partition, which no single
@@ -201,40 +201,49 @@ class TestSearchOrder:
         assert verify_packing_result(g, (0, 2, 3), res, vertex_mode=False)
 
     def test_kappa_climbs_to_the_bound(self, monkeypatch):
-        # two K5s sharing vertex 0: four edges at each terminal and four
-        # edge-disjoint paths, but every S-tree passes through vertex 0,
-        # so kappa never searches at the edge bound
+        # two K5s sharing vertex 0, S = (1, 2, 5): the edge bounds give 3,
+        # but every S-tree passes through vertex 0, so kappa never
+        # searches at the edge bound
         g = Graph.from_edges(
             9, [*combinations(range(5), 2), *combinations((0, 5, 6, 7, 8), 2)]
         )
         calls = _count_searches(monkeypatch)
-        res = kappa_set(g, (1, 5))
+        res = kappa_set(g, (1, 2, 5))
         assert calls == [2]
         assert res.value == 1
-        assert verify_packing_result(g, (1, 5), res, vertex_mode=True)
+        assert verify_packing_result(g, (1, 2, 5), res, vertex_mode=True)
         calls.clear()
-        assert kappa_set(K5, (0, 1)).value == 4
-        assert calls == [2, 3, 4]
+        assert kappa_set(K5, (0, 1, 2)).value == 3
+        assert calls == [2, 3]
         calls.clear()
+        assert lambda_set(g, (1, 2, 5)).value == 3
+        assert calls == [3]
+        # with two terminals the vertex flow sees the cut vertex
+        calls.clear()
+        assert kappa_set(g, (1, 5)).value == 1
         assert lambda_set(g, (1, 5)).value == 4
-        assert calls == [4]
+        assert calls == []
 
     def test_subset_minima_decide_at_the_minimum(self, monkeypatch):
-        # K5 with k = 2: the first pair's value is searched for, at its
-        # bound 4 in lambda and at 2, 3, 4 in kappa; every later pair is
-        # only decided at 4, by a search in kappa and by the Menger cut in
-        # lambda; no witness tree is built
+        # K5 with k = 3: the first subset's value is searched for, at its
+        # bound 3 in lambda and at 2, 3 in kappa; every later subset is
+        # only decided at 3; with k = 2 every pair is a Menger flow; no
+        # witness tree is built
         monkeypatch.setattr(solver, "_first_tree", _forbidden)
         calls = _count_searches(monkeypatch)
-        assert lambda_k(K5, 2) == 4
-        assert calls == [4]
+        assert lambda_k(K5, 3) == 3
+        assert calls == [3] * 10
         calls.clear()
+        assert kappa_k(K5, 3) == 3
+        assert calls == [2] + [3] * 10
+        calls.clear()
+        assert lambda_k(K5, 2) == 4
         assert kappa_k(K5, 2) == 4
-        assert calls == [2, 3] + [4] * 10
+        assert calls == []
 
     def test_two_terminal_lambda_decided_by_the_bound(self, monkeypatch):
-        # lambda({s, t}) is the local edge connectivity, which the bound's
-        # Menger flow computes
+        # lambda({s, t}) is the local edge connectivity, which the Menger
+        # flow computes
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         for g in gen_connected_graphs(4):
             for s in combinations(range(g.n), 2):
@@ -273,18 +282,44 @@ class TestClassical:
             assert kappa_k(g, 2) == classical_kappa(g), g.edges
             assert lambda_k(g, 2) == classical_lambda(g), g.edges
 
-    def test_pair_values_match_menger_flows_n5(self):
-        # two-terminal packing values coincide with the flow computations
-        # for every pair of every connected graph with n <= 5
-        from genconn.bounds import _edge_network, _max_flow, _vertex_flow
-
+    def test_pair_values_match_menger_flows_n5(self, monkeypatch):
+        # two-terminal packing values coincide with the oracle's own
+        # augmenting-path count for every pair of every connected graph
+        # with n <= 5, each witness, the flow's paths, re-verifies, and
+        # nothing is searched
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        monkeypatch.setattr(solver, "_first_tree", _forbidden)
         for g in gen_connected_graphs(5):
-            if g.n < 2:
-                continue
-            network = _edge_network(g)
             for u, v in combinations(range(g.n), 2):
-                assert kappa_set(g, (u, v)).value == _vertex_flow(g, u, v)
-                assert lambda_set(g, (u, v)).value == _max_flow(network, u, v)
+                for mode, vertex_mode, maximum, decide in (
+                    ("vertex", True, kappa_set, decide_kappa_set),
+                    ("edge", False, lambda_set, decide_lambda_set),
+                ):
+                    best = oracles.menger_count(g, u, v, mode)
+                    res = maximum(g, (u, v))
+                    assert res.value == best, (g.edges, u, v, mode)
+                    assert verify_packing_result(g, (u, v), res, vertex_mode=vertex_mode)
+                    assert decide(g, (u, v), best)
+                    assert not decide(g, (u, v), best + 1)
+
+
+    def test_flow_reroutes_along_an_earlier_path(self):
+        # the shortest path 0-1-2-3-4 comes first; the second unit must
+        # enter it at 3 and walk back through 2 to 1, so the flow's vertex
+        # 2 leaves it: 0-5-6-7-3-4 and 0-1-8-9-10-4
+        g = Graph.from_edges(11, [
+            (0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 3),
+            (1, 8), (8, 9), (9, 10), (10, 4),
+        ])
+        for mode, vertex_mode, maximum, decide in (
+            ("vertex", True, kappa_set, decide_kappa_set),
+            ("edge", False, lambda_set, decide_lambda_set),
+        ):
+            assert oracles.menger_count(g, 0, 4, mode) == 2
+            res = maximum(g, (0, 4))
+            assert res.value == 2
+            assert verify_packing_result(g, (0, 4), res, vertex_mode=vertex_mode)
+            assert decide(g, (0, 4), 2)
 
 
 class TestDeterminism:
@@ -314,19 +349,26 @@ class TestDeterminism:
                     ):
                         h.update(_result_repr(r))
         assert h.hexdigest() == (
-            "b3dba22e91ff66b5941313142d461f40ca36e11ea436f07867836acc156a376d"
+            "0b9da2bea316b0c144128979fa26816245345ab818101441ebb92912c84f991a"
         )
 
     def test_witnesses_pinned_n5(self):
-        # kappa then lambda for all 19,363 (g, S) pairs with n <= 5
+        # kappa then lambda for all 19,363 (g, S) pairs with n <= 5; the
+        # values alone have a digest of their own, which a change of
+        # witnesses leaves as it is
         h = hashlib.sha256()
+        values = hashlib.sha256()
         for g in gen_connected_graphs(5):
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
                     for r in (kappa_set(g, s), lambda_set(g, s)):
                         h.update(_result_repr(r))
+                        values.update(repr(r.value).encode())
+        assert values.hexdigest() == (
+            "8fabc6a1d3fbb01aa28545e4d0208eb9235d1140542cc6c4764998596c7739e8"
+        )
         assert h.hexdigest() == (
-            "37d082cbd59d9737e2ea5549e7c9214539b7a45f0cea9fc2ab9969ec4d0c319b"
+            "373226baee6b710f8c1186a52effde715ff3bb2cfb426ef5c96dac129c0b893d"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -343,23 +385,35 @@ class TestDeterminism:
         )
 
     def test_k6_lambda_witnesses_pinned(self):
-        # a color's candidates leave out the items its earlier sibling
-        # branches tried; counting those too picks other components to
-        # attach to and finds other packings here
+        # two terminals: the Menger flow's paths, one per neighbour of the
+        # first terminal, in the order of that neighbour
         k6 = Graph(6, tuple(combinations(range(6), 2)))
         assert [t.edges for t in lambda_set(k6, (0, 1)).witness] == [
             ((0, 1),),
-            ((0, 2), (1, 3), (2, 4), (3, 4)),
+            ((0, 2), (1, 2)),
+            ((0, 3), (1, 3)),
             ((0, 4), (1, 4)),
             ((0, 5), (1, 5)),
-            ((0, 3), (1, 2), (2, 3)),
         ]
         assert [t.edges for t in lambda_set(k6, (0, 4)).witness] == [
-            ((0, 4),),
-            ((0, 1), (1, 3), (2, 3), (2, 4)),
+            ((0, 1), (1, 4)),
+            ((0, 2), (2, 4)),
             ((0, 3), (3, 4)),
+            ((0, 4),),
             ((0, 5), (4, 5)),
-            ((0, 2), (1, 2), (1, 4)),
+        ]
+        # three terminals reach the search: a color's candidates leave out
+        # the items its earlier sibling branches tried; counting those too
+        # picks other components to attach to and finds another packing
+        g = Graph(7, (
+            (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 5),
+            (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+        ))
+        assert [t.edges for t in lambda_set(g, (0, 1, 6)).witness] == [
+            ((0, 6), (1, 6)),
+            ((0, 2), (1, 2), (2, 5), (5, 6)),
+            ((0, 3), (1, 4), (3, 4), (3, 6)),
+            ((0, 5), (1, 5), (4, 5), (4, 6)),
         ]
 
 
@@ -698,8 +752,7 @@ class TestStarBound:
 
 
 class TestLongCycle:
-    # Antipodal terminals on a cycle: the reduction contracts each half to
-    # one vertex, so the search runs on a 4-cycle whatever the length
+    # Antipodal terminals on a cycle are two paths of the Menger flow
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
@@ -713,6 +766,56 @@ class TestLongCycle:
             assert verify_packing_result(cycle, s, res, vertex_mode=vertex_mode)
             assert decide(cycle, s, 2)
             assert not decide(cycle, s, 3)
+
+    # Three terminals of K4 with every edge made a path of 251 edges: the
+    # reduction contracts each path to two edges, so the search runs on 10
+    # vertices whatever the length
+    @pytest.mark.parametrize("maximum, decide, vertex_mode", [
+        (kappa_set, decide_kappa_set, True),
+        (lambda_set, decide_lambda_set, False),
+    ])
+    def test_three_terminals(self, maximum, decide, vertex_mode):
+        edges = []
+        n = 4
+        for u, v in K4.edges:
+            path = [u, *range(n, n + 250), v]
+            edges += zip(path, path[1:])
+            n += 250
+        g = Graph.from_edges(n, edges)
+        s = (0, 1, 2)
+        assert solver._steiner_reduce(g, 0b111)[0].m == 12
+        res = maximum(g, s)
+        assert res.value == 2
+        assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
+        assert decide(g, s, 2)
+        assert not decide(g, s, 3)
+
+
+def _circular_ladder(n: int) -> Graph:
+    """C_n x K2: the cycles 0..n-1 and n..2n-1, with rungs i, n + i."""
+    return Graph.from_edges(2 * n, [
+        *((i, (i + 1) % n) for i in range(n)),
+        *((n + i, n + (i + 1) % n) for i in range(n)),
+        *((i, n + i) for i in range(n)),
+    ])
+
+
+class TestCircularLadder:
+    # C750 x K2 has 1,500 vertices and is cubic, so the Steiner reduction
+    # leaves it as it is; by Menger both packing numbers of two terminals
+    # are 3, answered by the flow at the default recursion limit
+    @pytest.mark.parametrize("maximum, decide, vertex_mode", [
+        (kappa_set, decide_kappa_set, True),
+        (lambda_set, decide_lambda_set, False),
+    ])
+    def test_two_terminals(self, maximum, decide, vertex_mode):
+        ladder = _circular_ladder(750)
+        s = (0, 375)
+        res = maximum(ladder, s)
+        assert res.value == 3
+        assert verify_packing_result(ladder, s, res, vertex_mode=vertex_mode)
+        assert decide(ladder, s, 3)
+        assert not decide(ladder, s, 4)
 
 
 def _subdivided_with_tail(g: Graph) -> Graph:
