@@ -105,9 +105,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edge_set
-
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
@@ -245,38 +242,17 @@ class ReductionOutput:
             raise GraphError("gadget roles are not injective")
 
 
-def _reach(
-    base: Sequence[int],
-    inc: Sequence[int],
-    edges: Sequence[tuple[int, int]],
-    start: int,
-    vset: int,
-    links: int,
-) -> int:
+def _reach(base: Sequence[int], start: int, vset: int) -> int:
     """Vertices of ``vset`` reachable from ``start`` in the subgraph that
-    ``vset`` induces under the vertex adjacency masks ``base``, plus the
-    edges whose ids are set in ``links``.  A frontier vertex costs one OR;
-    its ``inc`` edges are scanned only when ``links`` is non-zero."""
+    ``vset`` induces under the vertex adjacency masks ``base``.  A
+    frontier vertex costs one OR."""
     reached = frontier = start & vset
     while frontier:
         nxt = 0
-        if links:
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                v = b.bit_length() - 1
-                nxt |= base[v]
-                e = inc[v] & links
-                while e:
-                    eb = e & -e
-                    e ^= eb
-                    x, y = edges[eb.bit_length() - 1]
-                    nxt |= (1 << x) | (1 << y)
-        else:
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= base[b.bit_length() - 1]
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= base[b.bit_length() - 1]
         frontier = nxt & vset & ~reached
         reached |= frontier
     return reached
@@ -292,16 +268,20 @@ def _paths(
     links: int,
 ) -> tuple[int, int] | None:
     """Shortest paths from the vertices ``start`` to every vertex of
-    ``targets`` in ``_reach``'s subgraph, as (vertex mask, link mask): the
-    vertices on the paths and the ids of the ``links`` edges they use, a
-    step along ``base`` (which must be symmetric) using none.  None when
-    some target is not reachable.
+    ``targets`` in the subgraph that ``vset`` induces under the vertex
+    adjacency masks ``base`` plus the edges whose ids are set in ``links``,
+    as (vertex mask, link mask): the vertices on the paths and the ids of
+    the ``links`` edges they use, a step along ``base`` (which must be
+    symmetric) using none.  None when some target is not reachable.
 
-    The walk is ``_reach``'s, kept layer by layer and stopped once every
-    target is reached.  Walking back, each vertex on a path takes a parent
-    in the layer before it: a ``base`` neighbour, one already on a path
-    first, else the lowest one; failing that, the lowest ``links`` edge to
-    that layer."""
+    The walk is breadth-first, kept layer by layer and stopped once every
+    target is reached; a frontier vertex costs one OR, and its ``inc``
+    edges are scanned only when ``links`` is non-zero.  Walking back, each
+    vertex on a path takes a parent in the layer before it: a ``base``
+    neighbour, one already on a path first, else the lowest one; failing
+    that, the lowest ``links`` edge to that layer.  With ``base`` all
+    zeros every step is a link, so from one start vertex the links used
+    form a tree whose leaves all lie in ``start`` or ``targets``."""
     reached = frontier = start & vset
     layers = [frontier]
     missing = targets & ~reached
@@ -373,7 +353,7 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
     if vmask == 0:
         return True
     start = vmask & -vmask
-    return _reach(g.adjacency, g.incident, g.edges, start, vmask, 0) == vmask
+    return _reach(g.adjacency, start, vmask) == vmask
 
 
 def line_graph(g: Graph) -> Graph:

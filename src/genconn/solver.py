@@ -35,8 +35,12 @@ described below; only when that fails does it search at l = 2, 3, ...
 until a decision fails.  An internally disjoint maximum climbs from
 l = 2 to the bound, which counts edges and so can sit well above kappa
 at a vertex cut.  A maximum turns only the packing at the value into
-trees.  Branch order is fixed, so values and witnesses are
-deterministic, and the witness is that of the search at the value
+trees: each color's tree is the union of shortest paths from the first
+terminal to the others within its subgraph (``graphs._paths`` over its
+edges), where every vertex on a path steps back by its lowest edge to
+the BFS layer before it, so every leaf is a terminal.  Branch order is
+fixed, so values and witnesses are deterministic, and the witness is
+that of the search at the value
 whichever way it was reached.  ``kappa_k`` and ``lambda_k`` decide each
 subset at the least value so far, compute a value only for a subset below
 it, and build no trees.  ``_search_trees`` describes how a node is
@@ -109,42 +113,6 @@ class PackingResult:
 # Packing search
 
 
-def _first_tree(g: Graph, terminals: Sequence[int], vmask: int, emask: int) -> tuple[int, int]:
-    """One minimal S-tree of the active subgraph, assuming the terminals
-    are connected within it: the union of BFS-tree paths from each
-    terminal to the first one.  Every leaf of that union is a terminal.
-    """
-    inc = g.incident
-    edges = g.edges
-    root = terminals[0]
-    parent: dict[int, tuple[int, int]] = {root: (-1, -1)}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        e = inc[v] & emask
-        while e:
-            eb = e & -e
-            e ^= eb
-            j = eb.bit_length() - 1
-            x, y = edges[j]
-            w = y if x == v else x
-            if w not in parent and (vmask >> w) & 1:
-                parent[w] = (j, v)
-                queue.append(w)
-    tv = 1 << root
-    te = 0
-    for t in terminals:
-        v = t
-        while not (tv >> v) & 1:
-            tv |= 1 << v
-            j, p = parent[v]
-            te |= 1 << j
-            v = p
-    return tv, te
-
-
 def _layer_order(
     base: Sequence[int],
     inc: Sequence[int],
@@ -157,10 +125,10 @@ def _layer_order(
 ) -> list[int]:
     """The item ids set in ``cands`` (vertex x at bit x, edge j at bit
     ``off + j``, each edge also set in ``links``) in BFS-layer order.  The
-    walk is ``_reach``'s, from the vertices ``start`` through the vertices
-    ``through``; each layer gives, in bit order, its vertex items and the
-    edge items with an endpoint in it.  Unreached items come last, in bit
-    order; so does the last item left, which ends the walk."""
+    walk is that of ``graphs._paths``, from the vertices ``start`` through
+    the vertices ``through``; each layer gives, in bit order, its vertex
+    items and the edge items with an endpoint in it.  Unreached items come
+    last, in bit order; so does the last item left, which ends the walk."""
     vbits = (1 << off) - 1
     order = []
     rest = cands
@@ -207,8 +175,9 @@ def _search_trees(
 ) -> list[tuple[int, int]] | None:
     """The (vertex mask, edge mask) subgraphs of l >= 2 colors, each
     connecting the terminals, whose items are pairwise disjoint, or None.
-    Each subgraph holds a minimal S-tree (``_first_tree``), and these trees
-    are pairwise internally disjoint (``vertex_mode``) or edge-disjoint.
+    Each subgraph holds a minimal S-tree (the ``_paths`` walk over its
+    edges, from the first terminal), and these trees are pairwise
+    internally disjoint (``vertex_mode``) or edge-disjoint.
 
     Colors own items and share the rest.  An item mask holds vertex x at
     bit x and edge j at bit ``off + j``; ``off`` is n in vertex mode and 0
@@ -410,9 +379,7 @@ def _search_trees(
 
 def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:
     """True iff the terminals lie in one component of g."""
-    reached = _reach(
-        g.adjacency, g.incident, g.edges, 1 << terminals[0], g.all_vertices_mask, 0
-    )
+    reached = _reach(g.adjacency, 1 << terminals[0], g.all_vertices_mask)
     return not s_mask & ~reached
 
 
@@ -627,7 +594,15 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
         s_mask = _mask_of(terminals)
         ub = packing_upper_bound(g, terminals)
         h, rows, witness = _max_search(g, terminals, s_mask, ub, vertex_mode)
-        trees = [_first_tree(h, terminals, *sub) for sub in witness]
+        # With no base, every step is an edge of the color and each
+        # vertex on a path steps back by one edge: a tree whose leaves
+        # are all terminals
+        base = [0] * h.n
+        t0 = 1 << terminals[0]
+        trees = [
+            _paths(base, h.incident, h.edges, t0, s_mask, tv, te)
+            for tv, te in witness
+        ]
         if rows is not None:
             trees = [_lift(rows, tv, te) for tv, te in trees]
     return PackingResult(

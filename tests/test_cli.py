@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,16 @@ def test_package_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert (out.returncode, out.stdout) == (0, "3\n")
+
+
+def test_readme_names_every_exit_code():
+    """README's "Exit codes" paragraph names, in backquotes, exactly the
+    values of ``cli.EXIT_*``, so no way a run can end goes undocumented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n", 1)[0]
+    named = {int(x) for x in re.findall(r"`(\d+)`", paragraph)}
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert named == codes
 
 
 class TestReduce:

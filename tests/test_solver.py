@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,9 +14,9 @@ from genconn.graphs import (
     CnfFormula,
     Graph,
     GraphError,
+    SteinerTree,
     ThreeDMInstance,
     _paths,
-    _reach,
     is_connected,
 )
 from genconn.reductions import (
@@ -229,7 +230,7 @@ class TestSearchOrder:
         # bound 3 in lambda and at 2, 3 in kappa; every later subset is
         # only decided at 3; with k = 2 every pair is a Menger flow; no
         # witness tree is built
-        monkeypatch.setattr(solver, "_first_tree", _forbidden)
+        monkeypatch.setattr(SteinerTree, "from_masks", _forbidden)
         calls = _count_searches(monkeypatch)
         assert lambda_k(K5, 3) == 3
         assert calls == [3] * 10
@@ -286,9 +287,9 @@ class TestClassical:
         # two-terminal packing values coincide with the oracle's own
         # augmenting-path count for every pair of every connected graph
         # with n <= 5, each witness, the flow's paths, re-verifies, and
-        # nothing is searched
+        # nothing is searched or walked for a tree
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
-        monkeypatch.setattr(solver, "_first_tree", _forbidden)
+        monkeypatch.setattr(solver, "_paths", _forbidden)
         for g in gen_connected_graphs(5):
             for u, v in combinations(range(g.n), 2):
                 for mode, vertex_mode, maximum, decide in (
@@ -374,14 +375,17 @@ class TestDeterminism:
     def test_r2_kappa_witnesses_pinned(self):
         # kappa with the three apex terminals of R2 on every tripartite
         # graph with q <= 2 (4,104 graphs); three terminals on 9 vertices
-        # make the search merge components, which n <= 4 never does
+        # make the search merge components, which n <= 4 never does; every
+        # tree leaf is a terminal
         h = hashlib.sha256()
         for q in (1, 2):
             for g in gen_balanced_tripartite(q):
                 out = reduce_p1_to_kappa(g, q)
-                h.update(_result_repr(kappa_set(out.graph, out.terminals)))
+                res = kappa_set(out.graph, out.terminals)
+                assert _leaves_are_terminals(res, out.terminals), g.edges
+                h.update(_result_repr(res))
         assert h.hexdigest() == (
-            "f9ae66eb70be6c1cabb4a793183299895113d221d0bf33a57463eebeb09d804d"
+            "16993d55febf0bc99deb2acf3b8cc94ef4ba61f067079f05644912f8f6f8ea00"
         )
 
     def test_k6_lambda_witnesses_pinned(self):
@@ -421,6 +425,16 @@ def _result_repr(r) -> bytes:
     return repr((r.value, tuple((t.vertices, t.edges) for t in r.witness))).encode()
 
 
+def _leaves_are_terminals(r, s) -> bool:
+    """Every vertex of degree <= 1 in a witness tree is a terminal, which
+    ``verify_packing_result`` does not check: the trees are minimal."""
+    for t in r.witness:
+        degree = Counter(v for e in t.edges for v in e)
+        if any(degree[v] < 2 and v not in s for v in t.vertices):
+            return False
+    return True
+
+
 class TestPackingAgainstOracle:
     def test_all_n4_and_sampled_n5(self):
         rng = random.Random(11)
@@ -442,6 +456,8 @@ class TestPackingAgainstOracle:
                     assert rl.value >= rk.value
                     assert verify_packing_result(g, s, rk, vertex_mode=True)
                     assert verify_packing_result(g, s, rl, vertex_mode=False)
+                    assert _leaves_are_terminals(rk, s), (g.edges, s)
+                    assert _leaves_are_terminals(rl, s), (g.edges, s)
 
 
 def _members(mask: int) -> set[int]:
@@ -466,9 +482,10 @@ class TestVertexReach:
     def test_matches_edge_walk_n5(self):
         # a kappa color's subgraph: the terminals and its own non-terminal
         # vertices, every edge with a non-terminal endpoint, and its own
-        # terminal-terminal edges; reachability over vertex adjacency
-        # without terminal-terminal pairs, plus those own edges, must equal
-        # the oracle's walk over the same edges
+        # terminal-terminal edges; ``_paths`` over vertex adjacency without
+        # terminal-terminal pairs, plus those own edges, must find a path
+        # to exactly the vertices the oracle's walk over the same edges
+        # reaches
         rng = random.Random(29)
         for g in gen_connected_graphs(5):
             for size in range(2, g.n + 1):
@@ -481,26 +498,32 @@ class TestVertexReach:
                         vset = s_mask | (inner & rng.getrandbits(g.n))
                         links = ss_edges & rng.getrandbits(g.m)
                         for t in s:
-                            got = _reach(base, g.incident, g.edges, 1 << t, vset, links)
-                            assert _members(got) == oracles.reachable(
+                            reach = oracles.reachable(
                                 g, t, _members(vset), shared_e | links
-                            ), (g.edges, s, vset, links)
+                            )
+                            for w in range(g.n):
+                                got = _paths(
+                                    base, g.incident, g.edges, 1 << t, 1 << w, vset, links
+                                )
+                                assert (got is not None) == (w in reach), (
+                                    g.edges, s, vset, links, w)
 
     def test_lambda_links_n5(self):
         # a lambda color shares every vertex and no edge: zero adjacency,
-        # and the walk goes over its links alone
+        # and ``_paths`` walks its links alone
         rng = random.Random(31)
         for g in gen_connected_graphs(5):
             base = [0] * g.n
             for _ in range(3):
                 links = rng.getrandbits(g.m)
                 for t in range(g.n):
-                    got = _reach(
-                        base, g.incident, g.edges, 1 << t, g.all_vertices_mask, links
-                    )
-                    assert _members(got) == oracles.reachable(
-                        g, t, range(g.n), links
-                    ), (g.edges, links, t)
+                    reach = oracles.reachable(g, t, range(g.n), links)
+                    for w in range(g.n):
+                        got = _paths(
+                            base, g.incident, g.edges, 1 << t, 1 << w,
+                            g.all_vertices_mask, links,
+                        )
+                        assert (got is not None) == (w in reach), (g.edges, links, t, w)
 
     def test_is_connected_every_subset_n5(self):
         for g in gen_connected_graphs(5):
