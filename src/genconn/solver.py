@@ -32,18 +32,18 @@ and, for edge-disjoint packings, merging c components of a color takes at
 least c - 1 free edges.  A decision stops at the first packing of
 colors.  An edge-disjoint maximum searches first at the upper bound
 described below; only when that fails does it search at l = 2, 3, ...
-until a decision fails.  An internally disjoint maximum climbs from
-l = 2 to the bound, which counts edges and so can sit well above kappa
-at a vertex cut.  A maximum turns only the packing at the value into
-trees: each color's tree is the union of shortest paths from the first
-terminal to the others within its subgraph (``graphs._paths`` over its
-edges), where every vertex on a path steps back by its lowest edge to
-the BFS layer before it, so every leaf is a terminal.  Branch order is
-fixed, so values and witnesses are deterministic, and the witness is
-that of the search at the value
-whichever way it was reached.  ``kappa_k`` and ``lambda_k`` decide each
-subset at the least value so far, compute a value only for a subset below
-it, and build no trees.  ``_search_trees`` describes how a node is
+until a decision fails.  An internally disjoint maximum searches at the
+bound alone when the peel described below reaches it, and otherwise
+climbs from l = 2 to the bound, which counts edges and so can sit well
+above kappa at a vertex cut.  A maximum turns only the packing at the
+value into trees: each color's tree is the union of shortest paths from
+the first terminal to the others within its subgraph (``graphs._paths``
+over its edges), where every vertex on a path steps back by its lowest
+edge to the BFS layer before it, so every leaf is a terminal.  Branch
+order is fixed, so values and witnesses are deterministic, and the
+witness is that of the search at the value whichever way it was reached.
+``kappa_k`` and ``lambda_k`` decide each subset at the least value so
+far, compute a value only for a subset below it, and build no trees.  ``_search_trees`` describes how a node is
 computed: item masks, candidate masks, cached components and the branch
 order.
 
@@ -62,6 +62,13 @@ Nash-Williams and Tutte partition bound on the nearest-terminal partition
 after a local search and on the terminal stars, and the least Menger edge
 cut from the first terminal.  A decision above their least is answered no
 without searching, and a maximum never searches above it.
+
+Only then, where a search would run, ``_peel`` tries to answer yes: a
+greedy lower bound that, from each terminal in turn, takes shortest-path
+S-trees (``graphs._paths``) one after another, each over the items the
+earlier ones left.  A decision it reaches is answered yes without a
+search.  The peel builds no witness, so a maximum still takes its trees
+from the search at the value.
 
 A search runs on the instance after ``_steiner_reduce``, the degree tests
 of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
@@ -170,6 +177,65 @@ def _layer_order(
     return order
 
 
+def _kappa_items(
+    g: Graph, terminals: Sequence[int], s_mask: int
+) -> tuple[list[int], int]:
+    """The shared part of an internally disjoint packing: ``base``, the
+    vertex adjacency without terminal-terminal pairs, so that every shared
+    edge has a non-terminal endpoint, and the mask of the
+    terminal-terminal edges, which are items."""
+    inc = g.incident
+    edges = g.edges
+    base = list(g.adjacency)
+    edge_items = 0
+    for t in terminals:
+        base[t] &= ~s_mask
+        e = inc[t]
+        while e:
+            b = e & -e
+            e ^= b
+            u, v = edges[b.bit_length() - 1]
+            if (s_mask >> u) & 1 and (s_mask >> v) & 1:
+                edge_items |= b
+    return base, edge_items
+
+
+def _peel(
+    g: Graph, terminals: Sequence[int], s_mask: int, l: int, vertex_mode: bool
+) -> int:
+    """A lower bound on the packing number, counted up to l: the most
+    S-trees that a greedy peel finds.  From each terminal in turn as the
+    root, it takes the ``_paths`` walk from the root to the other
+    terminals over the items that earlier trees left, and removes that
+    tree's items: its non-terminal vertices and terminal-terminal edges
+    (``vertex_mode``), or its edges.  The trees of one root are pairwise
+    disjoint in their items, so each count is a packing.  It stops at the
+    first root whose count reaches l."""
+    inc = g.incident
+    edges = g.edges
+    if vertex_mode:
+        base, all_links = _kappa_items(g, terminals, s_mask)
+    else:
+        base = [0] * g.n
+        all_links = g.all_edges_mask
+    best = 0
+    for r in terminals:
+        vset = g.all_vertices_mask
+        links = all_links
+        count = 0
+        while count < l:
+            found = _paths(base, inc, edges, 1 << r, s_mask, vset, links)
+            if found is None:
+                break
+            count += 1
+            vset &= ~found[0] | s_mask
+            links &= ~found[1]
+        if count == l:
+            return count
+        best = max(best, count)
+    return best
+
+
 def _search_trees(
     g: Graph, s_mask: int, terminals: Sequence[int], l: int, vertex_mode: bool
 ) -> list[tuple[int, int]] | None:
@@ -221,17 +287,7 @@ def _search_trees(
     t0 = terminals[0]
     if vertex_mode:
         # Items: the non-terminal vertices and the terminal-terminal edges.
-        base = list(adj)
-        edge_items = 0
-        for t in terminals:
-            base[t] &= ~s_mask
-            e = inc[t]
-            while e:
-                b = e & -e
-                e ^= b
-                u, v = edges[b.bit_length() - 1]
-                if (s_mask >> u) & 1 and (s_mask >> v) & 1:
-                    edge_items |= b
+        base, edge_items = _kappa_items(g, terminals, s_mask)
         off = g.n
         vert_items = vmask & ~s_mask
         shared_v = s_mask
@@ -337,6 +393,8 @@ def _search_trees(
         # Per-color reachability through own plus unassigned items, walked
         # only when an item of the color's support has left them.
         for i in range(l):
+            if len(comps[i]) == 1:
+                continue  # its own items connect its terminals
             own = color[i] | (free & ~ban[i])
             if support[i] & ~own:
                 found = _paths(
@@ -540,7 +598,8 @@ def _max_search(
 
     An edge-disjoint search runs at ub first, and only when that fails at
     l = 2, 3, ... below ub until a decision fails; an internally disjoint
-    search runs at l = 2, 3, ... up to ub.  Either way the subgraphs are
+    search runs at ub alone when ``_peel`` reaches ub there, and otherwise
+    at l = 2, 3, ... up to ub.  Either way the subgraphs are
     those of ``_search_trees`` at the packing number, which is
     deterministic."""
     # A bound of 2 or more takes a Menger flow of 2 or more from the first
@@ -557,9 +616,10 @@ def _max_search(
         h, rows = reduced
     # The bounds are edge bounds: close to lambda, but blind to the vertex
     # cuts that hold kappa below them, where a search at ub would be one
-    # more refutation on top of the one at kappa + 1.
+    # more refutation on top of the one at kappa + 1; so kappa searches at
+    # ub first only once a peel there has shown that it is the value.
     top = ub + 1
-    if not vertex_mode:
+    if not vertex_mode or ub >= 3 and _peel(h, terminals, s_mask, ub, True) == ub:
         found = _search_trees(h, s_mask, terminals, ub, vertex_mode)
         if found is not None:
             return h, rows, found
@@ -627,6 +687,8 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
     s_mask = _mask_of(terminals)
     if l == 1:
         return _terminals_connected(g, terminals, s_mask)
+    if _peel(g, terminals, s_mask, l, vertex_mode) == l:
+        return True
     reduced = _steiner_reduce(g, s_mask)
     if reduced is not None:
         g = reduced[0]

@@ -228,6 +228,12 @@ def verify_packing_result(
 # The reduction table
 
 
+# (describe, args): describe() is the instance's replayable text, made only
+# for an instance that fails.  It looks ``io.serialize_<kind>`` up when
+# called, so that wrappers put on that attribute see every call.
+Case = tuple[Callable[[], str], tuple]
+
+
 @dataclass(frozen=True)
 class Reduction:
     """One row of the reduction table.  The builder and size identity are
@@ -237,7 +243,7 @@ class Reduction:
     name: str
     kind: str  # the ``genconn reduce`` kind
     budget: VerifyBudget  # the default
-    cases: Callable[[VerifyBudget], Iterator[tuple[str, tuple]]]  # (text, args)
+    cases: Callable[[VerifyBudget], Iterator[Case]]
     build: str  # reductions.<build>(*args)
     size: str  # reductions.<size>(*args), the closed-form shape
     source: Callable[..., object]  # decides args
@@ -250,29 +256,31 @@ class Reduction:
     check: Callable[..., Iterator[tuple[str, str]]] | None = None
 
 
-def _each(instances, serialize) -> Iterator[tuple[str, tuple]]:
+def _text(kind: str, *args, suffix: str = "") -> Callable[[], str]:
+    return lambda: getattr(io, f"serialize_{kind}")(*args) + suffix
+
+
+def _each(instances, kind: str) -> Iterator[Case]:
     for inst in instances:
-        yield serialize(inst), (inst,)
+        yield _text(kind, inst), (inst,)
 
 
-def _tripartite_cases(b: VerifyBudget) -> Iterator[tuple[str, tuple]]:
+def _tripartite_cases(b: VerifyBudget) -> Iterator[Case]:
     _guard("max_n", b.max_n, GEN_TRIPARTITE_MAX_Q)
     for q in range(1, b.max_n + 1):
         for g in gen_balanced_tripartite(q):
-            yield io.serialize_graph(g), (g, q)
+            yield _text("graph", g), (g, q)
 
 
-def _graph_cases(b: VerifyBudget, sizes, params=(("", ()),)
-                 ) -> Iterator[tuple[str, tuple]]:
+def _graph_cases(b: VerifyBudget, sizes, params=(("", ()),)) -> Iterator[Case]:
     """Every connected graph of the budget with every terminal set of a
     size in ``sizes``, once per (text suffix, extra arguments) in
     ``params``."""
     for g in gen_connected_graphs(b.max_n):
         for size in sizes:
             for s in combinations(range(g.n), size):
-                text = io.serialize_graph(g, s)
                 for suffix, extra in params:
-                    yield text + suffix, (g, s, *extra)
+                    yield _text("graph", g, s, suffix=suffix), (g, s, *extra)
 
 
 def _packing_witnesses(out, g, s, lam, kap) -> Iterator[tuple[str, str]]:
@@ -285,7 +293,7 @@ def _packing_witnesses(out, g, s, lam, kap) -> Iterator[tuple[str, str]]:
 REDUCTIONS: dict[str, Reduction] = {r.name: r for r in (
     Reduction(
         "R1", "3dm-p1", VerifyBudget(max_n=2, max_m=3),
-        lambda b: _each(gen_3dm(b.max_n, b.max_m), io.serialize_3dm),
+        lambda b: _each(gen_3dm(b.max_n, b.max_m), "3dm"),
         "reduce_3dm_to_p1_with_roles", "size_3dm_to_p1",
         source=lambda inst: solver.decide_3dm(inst),
         target=lambda out: solver.decide_problem1(out.graph),
@@ -317,7 +325,7 @@ REDUCTIONS: dict[str, Reduction] = {r.name: r for r in (
     ),
     Reduction(
         "R5", "3sat-lambda2", VerifyBudget(max_n=3, max_m=3, samples=200),
-        lambda b: _each(gen_cnf(b.max_n, b.max_m or 2, b.seed, b.samples), io.serialize_cnf),
+        lambda b: _each(gen_cnf(b.max_n, b.max_m or 2, b.seed, b.samples), "cnf"),
         "reduce_3sat_to_lambda2", "size_3sat_to_lambda2",
         source=lambda phi: solver.decide_3sat(phi),
         target=lambda out: solver.decide_lambda_set(out.graph, out.terminals, out.threshold),
@@ -369,21 +377,21 @@ def verify_reduction(name: str, budget: VerifyBudget | None = None) -> Verificat
     start = time.perf_counter()
     checked = 0
     failures: list[Failure] = []
-    for text, args in row.cases(budget):
+    for describe, args in row.cases(budget):
         checked += 1
         out = build(*args)
         want = size(*args)
         got = reductions.measure(out, want)
         if got != want:
-            failures.append(Failure("size", text, _shape(got), _shape(want)))
+            failures.append(Failure("size", describe(), _shape(got), _shape(want)))
             continue
         lhs, rhs = row.source(*args), row.target(out)
         if row.check is not None:
-            failures.extend(Failure("witness", text, a, b)
+            failures.extend(Failure("witness", describe(), a, b)
                             for a, b in row.check(out, *args, lhs, rhs))
         lhs, rhs = _verdict(lhs), _verdict(rhs)
         if lhs != rhs:
-            failures.append(Failure("equivalence", text, str(lhs), str(rhs)))
+            failures.append(Failure("equivalence", describe(), str(lhs), str(rhs)))
     elapsed = time.perf_counter() - start
     failures.sort(key=lambda f: (f.instance, f.kind))
     return VerificationReport(name, budget, checked, tuple(failures), elapsed)

@@ -213,9 +213,11 @@ class TestSearchOrder:
         assert calls == [2]
         assert res.value == 1
         assert verify_packing_result(g, (1, 2, 5), res, vertex_mode=True)
+        # a peel of three trees in K5 shows that the bound is kappa, so
+        # kappa searches once, at the bound
         calls.clear()
         assert kappa_set(K5, (0, 1, 2)).value == 3
-        assert calls == [2, 3]
+        assert calls == [3]
         calls.clear()
         assert lambda_set(g, (1, 2, 5)).value == 3
         assert calls == [3]
@@ -226,17 +228,17 @@ class TestSearchOrder:
         assert calls == []
 
     def test_subset_minima_decide_at_the_minimum(self, monkeypatch):
-        # K5 with k = 3: the first subset's value is searched for, at its
-        # bound 3 in lambda and at 2, 3 in kappa; every later subset is
-        # only decided at 3; with k = 2 every pair is a Menger flow; no
-        # witness tree is built
+        # K5 with k = 3: the first subset's value is searched for once, at
+        # its bound 3, which a peel has reached in kappa; every later
+        # subset is decided at 3 by a peel, with no search; with k = 2
+        # every pair is a Menger flow; no witness tree is built
         monkeypatch.setattr(SteinerTree, "from_masks", _forbidden)
         calls = _count_searches(monkeypatch)
         assert lambda_k(K5, 3) == 3
-        assert calls == [3] * 10
+        assert calls == [3]
         calls.clear()
         assert kappa_k(K5, 3) == 3
-        assert calls == [2] + [3] * 10
+        assert calls == [3]
         calls.clear()
         assert lambda_k(K5, 2) == 4
         assert kappa_k(K5, 2) == 4
@@ -774,6 +776,41 @@ class TestStarBound:
         assert bounds._star_bound(k12, tuple(range(10)), 99) < 99
 
 
+class TestPeel:
+    def test_never_exceeds_the_oracle(self):
+        # every count is a packing: on every n <= 4 set and a sample of
+        # n = 5 sets of three or more terminals, at each l up to the least
+        # terminal degree
+        rng = random.Random(15)
+        cases = [
+            (g, s)
+            for g in gen_connected_graphs(4)
+            for size in range(2, g.n + 1)
+            for s in combinations(range(g.n), size)
+        ]
+        n5 = [
+            (g, s)
+            for g in gen_connected_graphs(5) if g.n == 5
+            for size in (3, 4, 5)
+            for s in combinations(range(5), size)
+        ]
+        cases += rng.sample(n5, 1500)
+        for g, s in cases:
+            s_mask = sum(1 << t for t in s)
+            trees = oracles.all_stein_trees(g, s)
+            top = min(g.incident[t].bit_count() for t in s)
+            for mode, vertex_mode in (("vertex", True), ("edge", False)):
+                best = oracles.max_packing(g, s, mode, trees)
+                for l in range(1, top + 1):
+                    got = solver._peel(g, s, s_mask, l, vertex_mode)
+                    assert got <= min(l, best), (g.edges, s, mode, l)
+
+    def test_decides_without_a_search(self, monkeypatch):
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert decide_lambda_set(K5, (0, 1, 2), 3)
+        assert decide_kappa_set(K5, (0, 1, 2), 3)
+
+
 class TestLongCycle:
     # Antipodal terminals on a cycle are two paths of the Menger flow
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
@@ -839,6 +876,13 @@ class TestCircularLadder:
         assert verify_packing_result(ladder, s, res, vertex_mode=vertex_mode)
         assert decide(ladder, s, 3)
         assert not decide(ladder, s, 4)
+
+    # With three terminals a search at 2 recursed past the default limit;
+    # two shortest-path trees peel off, so the decision needs no search
+    @pytest.mark.parametrize("decide", [decide_kappa_set, decide_lambda_set])
+    def test_three_terminals_at_two(self, decide, monkeypatch):
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert decide(_circular_ladder(750), (0, 250, 500), 2)
 
 
 def _subdivided_with_tail(g: Graph) -> Graph:

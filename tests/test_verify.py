@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 import hashlib
 
 import pytest
 
 import internally_disjoint_r5
 import oracles
-from genconn import cli, reductions, solver
+from genconn import cli, io, reductions, solver
 from genconn.graphs import Graph, GraphError, ReductionOutput
 from genconn.solver import GuardError, decide_3sat, decide_lambda_set, lambda_set
 from genconn.reductions import reduce_3sat_to_lambda2
@@ -146,6 +147,32 @@ class TestVerifyReduction:
             trees = [t.edges for t in lambda_set(out.graph, out.terminals).witness]
             assert len(trees) >= 2
             assert oracles.is_edge_packing(out.graph, out.terminals, trees)
+
+    def test_only_a_failure_is_serialized(self, monkeypatch):
+        # a source decider that disagrees on the path 0-1-2 alone: that
+        # instance, and no other, is serialized, through the io attribute
+        row = REDUCTIONS["R4"]
+        path = Graph(3, ((0, 1), (1, 2)))
+
+        def source(g, s, l, k):
+            return row.source(g, s, l, k) != (g == path)
+
+        monkeypatch.setitem(REDUCTIONS, "R4", dataclasses.replace(row, source=source))
+        serialize = io.serialize_graph
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return serialize(*args)
+
+        monkeypatch.setattr(io, "serialize_graph", counted)
+        report = verify_reduction("R4", VerifyBudget(max_n=3, ks=(4,), ls=(2,)))
+        assert report.instances_checked == 4
+        assert [f.kind for f in report.failures] == ["equivalence"]
+        assert report.failures[0].instance == (
+            serialize(path, (0, 1, 2)) + "# params k=4 l=2\n"
+        )
+        assert calls == [(path, (0, 1, 2))]
 
     def test_default_budgets_cover_all_reductions(self):
         assert set(DEFAULT_BUDGETS) == {"R1", "R2", "R3", "R4", "R5", "R6"}
