@@ -9,7 +9,10 @@ of four bounds: the least terminal degree, the partition bound of
 Nash-Williams and Tutte on the nearest-terminal partition after a local
 search (``_partition_bound``) and on the terminal stars
 (``_star_bound``), and the least Menger edge cut from the first
-terminal.
+terminal.  A decision takes the same bounds in two steps, with the
+solver's greedy peel between them: ``decision_bound``, the first three,
+whose partition bound stops once it is below the threshold, and
+``cut_bound``, the Menger cuts.
 
 ``_menger_flow`` is that cut's flow, run on the adjacency masks of the
 graph: edge-disjoint s-t paths, or internally disjoint ones, with no
@@ -169,7 +172,7 @@ def _flow_paths(succ: Sequence[int], s: int, t: int) -> list[list[int]]:
     return paths
 
 
-def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
+def _partition_bound(g: Graph, terminals: Sequence[int], stop: int = 0) -> int:
     """⌊cross edges / (|S| - 1)⌋ on a partition of V into |S| parts, one
     per terminal.  Each S-tree joins the parts, so it holds at least
     |S| - 1 cross edges.  The partition starts by giving every vertex to
@@ -179,7 +182,10 @@ def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
     local search then moves each non-terminal in turn to the part that
     holds most of its neighbours while that cuts fewer edges, until no
     move does.  Terminals never move, so every part keeps its terminal
-    and each partition passed is one the bound holds for."""
+    and each partition passed is one the bound holds for.  The value is
+    returned as soon as it falls below ``stop``, before or during the
+    local search; with the default of 0 the local search runs to its
+    end."""
     owner = [-1] * g.n
     for t in terminals:
         owner[t] = t
@@ -197,7 +203,12 @@ def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
             if owner[w] < 0:
                 owner[w] = owner[v]
                 queue.append(w)
+    parts = len(terminals) - 1
     cross = sum(1 for u, v in g.edges if owner[u] != owner[v])
+    # the value is below stop exactly when cross is below this
+    low = stop * parts
+    if cross < low:
+        return cross // parts
     part = dict.fromkeys(terminals, 0)
     for v in queue:
         part[owner[v]] |= 1 << v
@@ -219,8 +230,10 @@ def _partition_bound(g: Graph, terminals: Sequence[int]) -> int:
                 part[best] |= 1 << v
                 owner[v] = best
                 cross -= gain
+                if cross < low:
+                    return cross // parts
                 moved = True
-    return cross // (len(terminals) - 1)
+    return cross // parts
 
 
 def _star_bound(g: Graph, terminals: Sequence[int], bound: int) -> int:
@@ -276,7 +289,8 @@ def packing_upper_bound(
     connected, which the search checks first.  With ``limit`` set, the
     result is at most ``limit`` and is returned as soon as a bound falls
     below it, so it is below ``limit`` only when no packing of ``limit``
-    trees exists.
+    trees exists.  The partition bound's local search always runs to its
+    end, as a maximum starts its search from the bound.
     """
     bound = min(g.incident[t].bit_count() for t in terminals)
     if limit is not None:
@@ -291,6 +305,30 @@ def packing_upper_bound(
         bound = _star_bound(g, terminals, bound)
         if bound < stop:
             return bound
+    return cut_bound(g, terminals, bound, stop)
+
+
+def decision_bound(g: Graph, terminals: Sequence[int], l: int) -> int:
+    """The bounds of ``packing_upper_bound`` without the Menger cuts, for
+    a decision at l >= 1: the least of l, the least terminal degree and,
+    for |S| >= 3, the partition bound and the star bound.  The partition
+    bound stops its local search once it falls below l.  The result is
+    below l only when no packing of l trees exists; below 2 it is
+    returned at once, as in ``packing_upper_bound``."""
+    bound = min(l, min(g.incident[t].bit_count() for t in terminals))
+    if bound < max(l, 2) or len(terminals) < 3:
+        return bound
+    bound = min(bound, _partition_bound(g, terminals, l))
+    if bound < l:
+        return bound
+    return _star_bound(g, terminals, bound)
+
+
+def cut_bound(g: Graph, terminals: Sequence[int], bound: int, stop: int) -> int:
+    """The least of ``bound`` and the Menger edge cuts between
+    ``terminals[0]`` and each other terminal.  Each flow stops augmenting
+    at the running bound, and the result is returned as soon as it falls
+    below ``stop``."""
     for t in terminals[1:]:
         bound = min(bound, _menger_flow(g.adjacency, terminals[0], t, False, bound)[0])
         if bound < stop:

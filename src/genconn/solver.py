@@ -55,20 +55,26 @@ witness is the flow's paths; a decision at l >= 2 checks the least
 terminal degree, then runs the flow until it reaches l; ``kappa_k`` and
 ``lambda_k`` at k = 2 take each pair's flow up to the least value so far.
 
-With three or more terminals, before any search,
-``bounds.packing_upper_bound`` tries four polynomial upper bounds on the
-packing number, cheapest first: the least terminal degree, the
-Nash-Williams and Tutte partition bound on the nearest-terminal partition
-after a local search and on the terminal stars, and the least Menger edge
-cut from the first terminal.  A decision above their least is answered no
-without searching, and a maximum never searches above it.
+With three or more terminals, before any search, four polynomial upper
+bounds on the packing number are tried, cheapest first: the least
+terminal degree, the Nash-Williams and Tutte partition bound on the
+nearest-terminal partition after a local search and on the terminal
+stars, and the least Menger edge cut from the first terminal.  A maximum
+takes their least from ``bounds.packing_upper_bound`` and never searches
+above it.  A decision at l is answered no when one of them falls below
+l, and takes them in two steps with the peel between:
+``bounds.decision_bound`` (degree, partition and stars, the partition's
+local search stopped once it falls below l), ``_peel``, and then
+``bounds.cut_bound`` (the Menger cuts).
 
-Only then, where a search would run, ``_peel`` tries to answer yes: a
-greedy lower bound that, from each terminal in turn, takes shortest-path
-S-trees (``graphs._paths``) one after another, each over the items the
-earlier ones left.  A decision it reaches is answered yes without a
-search.  The peel builds no witness, so a maximum still takes its trees
-from the search at the value.
+Where a search would run, ``_peel`` tries to answer yes: a greedy lower
+bound that, from each terminal in turn, takes shortest-path S-trees
+(``graphs._paths``) one after another, each over the items the earlier
+ones left.  A decision it reaches is answered yes without a search or a
+Menger cut.  The peel builds no witness, so a maximum still takes its
+trees from the search at the value.  A kappa decision or maximum builds
+the shared part of its items (``_kappa_items``) once, for the peel and
+the searches on the same graph.
 
 A search runs on the instance after ``_steiner_reduce``, the degree tests
 of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
@@ -97,7 +103,13 @@ from .graphs import (
     _reach,
     is_connected,
 )
-from .bounds import _flow_paths, _menger_flow, packing_upper_bound
+from .bounds import (
+    _flow_paths,
+    _menger_flow,
+    cut_bound,
+    decision_bound,
+    packing_upper_bound,
+)
 from .trees import _check_terminals, _mask_of
 
 SUBSET_GUARD_MAX_N = 16  # kappa_k/lambda_k refuse larger graphs without force
@@ -201,7 +213,12 @@ def _kappa_items(
 
 
 def _peel(
-    g: Graph, terminals: Sequence[int], s_mask: int, l: int, vertex_mode: bool
+    g: Graph,
+    terminals: Sequence[int],
+    s_mask: int,
+    l: int,
+    vertex_mode: bool,
+    items: tuple[list[int], int] | None = None,
 ) -> int:
     """A lower bound on the packing number, counted up to l: the most
     S-trees that a greedy peel finds.  From each terminal in turn as the
@@ -210,11 +227,12 @@ def _peel(
     tree's items: its non-terminal vertices and terminal-terminal edges
     (``vertex_mode``), or its edges.  The trees of one root are pairwise
     disjoint in their items, so each count is a packing.  It stops at the
-    first root whose count reaches l."""
+    first root whose count reaches l.  In ``vertex_mode``, ``items`` may
+    hand in ``_kappa_items`` of g, when the caller has built it."""
     inc = g.incident
     edges = g.edges
     if vertex_mode:
-        base, all_links = _kappa_items(g, terminals, s_mask)
+        base, all_links = items or _kappa_items(g, terminals, s_mask)
     else:
         base = [0] * g.n
         all_links = g.all_edges_mask
@@ -237,7 +255,12 @@ def _peel(
 
 
 def _search_trees(
-    g: Graph, s_mask: int, terminals: Sequence[int], l: int, vertex_mode: bool
+    g: Graph,
+    s_mask: int,
+    terminals: Sequence[int],
+    l: int,
+    vertex_mode: bool,
+    items: tuple[list[int], int] | None = None,
 ) -> list[tuple[int, int]] | None:
     """The (vertex mask, edge mask) subgraphs of l >= 2 colors, each
     connecting the terminals, whose items are pairwise disjoint, or None.
@@ -254,7 +277,8 @@ def _search_trees(
     ``links``, the edge items it owns or may still take.  ``base`` is the
     adjacency without terminal-terminal pairs in vertex mode, where every
     shared edge has a non-terminal endpoint, and all zeros in edge mode,
-    where no edge is shared.  The branch order comes from ``_layer_order``.
+    where no edge is shared; in vertex mode, ``items`` may hand in
+    ``_kappa_items`` of g.  The branch order comes from ``_layer_order``.
 
     The reachability prune keeps each color's support: an item mask that,
     with the shared part, connects the color's terminals.  Every color
@@ -287,7 +311,7 @@ def _search_trees(
     t0 = terminals[0]
     if vertex_mode:
         # Items: the non-terminal vertices and the terminal-terminal edges.
-        base, edge_items = _kappa_items(g, terminals, s_mask)
+        base, edge_items = items or _kappa_items(g, terminals, s_mask)
         off = g.n
         vert_items = vmask & ~s_mask
         shared_v = s_mask
@@ -618,15 +642,20 @@ def _max_search(
     # cuts that hold kappa below them, where a search at ub would be one
     # more refutation on top of the one at kappa + 1; so kappa searches at
     # ub first only once a peel there has shown that it is the value.
+    if vertex_mode:
+        items = _kappa_items(h, terminals, s_mask)
+        at_ub = ub >= 3 and _peel(h, terminals, s_mask, ub, True, items) == ub
+    else:
+        items, at_ub = None, True
     top = ub + 1
-    if not vertex_mode or ub >= 3 and _peel(h, terminals, s_mask, ub, True) == ub:
-        found = _search_trees(h, s_mask, terminals, ub, vertex_mode)
+    if at_ub:
+        found = _search_trees(h, s_mask, terminals, ub, vertex_mode, items)
         if found is not None:
             return h, rows, found
         top = ub
     witness = None
     for l in range(2, top):
-        found = _search_trees(h, s_mask, terminals, l, vertex_mode)
+        found = _search_trees(h, s_mask, terminals, l, vertex_mode, items)
         if found is None:
             break
         witness = found
@@ -682,17 +711,23 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
         if min(g.incident[s0].bit_count(), g.incident[t].bit_count()) < l:
             return False
         return _menger_flow(g.adjacency, s0, t, vertex_mode, l)[0] == l
-    if packing_upper_bound(g, terminals, l) < l:
+    # the Menger cuts run after the peel: they seldom refute where the
+    # bounds before them do not, and cost a flow per terminal where the
+    # peel answers yes
+    if decision_bound(g, terminals, l) < l:
         return False
     s_mask = _mask_of(terminals)
     if l == 1:
         return _terminals_connected(g, terminals, s_mask)
-    if _peel(g, terminals, s_mask, l, vertex_mode) == l:
+    items = _kappa_items(g, terminals, s_mask) if vertex_mode else None
+    if _peel(g, terminals, s_mask, l, vertex_mode, items) == l:
         return True
+    if cut_bound(g, terminals, l, l) < l:
+        return False
     reduced = _steiner_reduce(g, s_mask)
     if reduced is not None:
-        g = reduced[0]
-    return _search_trees(g, s_mask, terminals, l, vertex_mode) is not None
+        g, items = reduced[0], None
+    return _search_trees(g, s_mask, terminals, l, vertex_mode, items) is not None
 
 
 def kappa_set(g: Graph, s: Iterable[int]) -> PackingResult:
@@ -807,7 +842,18 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
     fewest live rows and tries them in ascending index.  The item scan
     stops at the first count of 0 or 1: a 0 ends the node with or without
     the rest of the scan, and a 1 is the minimum.  The search runs on an
-    explicit stack of (uncovered items, live rows, rows left to try)."""
+    explicit stack of (uncovered items, live rows, rows left to try).
+
+    Every row must lie within the universe, as in both callers.  Then a
+    node's live rows are exactly the rows that lie inside its uncovered
+    items, and whether those items have an exact cover depends on them
+    alone (Nishino, Yasuda, Minato and Nagata 2017 memoize on the same
+    key).  So the search remembers every uncovered set it has refuted:
+    that of a node whose rows have all failed, and that of a child with
+    an item no live row covers; a child whose uncovered set is one of them
+    is skipped.  Only failing subtrees are cut, and the branch order is
+    unchanged, so the cover returned is the one the plain search finds
+    first."""
     cols = [0] * max([universe, *rows]).bit_length()
     for i, row in enumerate(rows):
         r = row
@@ -845,10 +891,12 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
     avail = (1 << len(rows)) - 1
     stack = [(universe, avail, branch_rows(universe, avail))]
     chosen: list[int] = []  # the row tried at each frame below the top
+    refuted = set()  # uncovered item sets with no exact cover
     while stack:
         remaining, avail, untried = stack[-1]
         if not untried:
             stack.pop()
+            refuted.add(remaining)
             if chosen:
                 chosen.pop()
             continue
@@ -858,11 +906,15 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
         rest = remaining & ~rows[i]
         if not rest:
             return tuple(chosen) + (i,)
+        if rest in refuted:
+            continue
         sub_avail = avail & ~clash[i]
         sub_rows = branch_rows(rest, sub_avail)
         if sub_rows:
             chosen.append(i)
             stack.append((rest, sub_avail, sub_rows))
+        else:
+            refuted.add(rest)
     return None
 
 

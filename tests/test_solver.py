@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -169,9 +170,9 @@ def _count_searches(monkeypatch) -> list[int]:
     calls = []
     search = solver._search_trees
 
-    def counted(g, s_mask, terminals, l, vertex_mode):
+    def counted(g, s_mask, terminals, l, *rest):
         calls.append(l)
-        return search(g, s_mask, terminals, l, vertex_mode)
+        return search(g, s_mask, terminals, l, *rest)
 
     monkeypatch.setattr(solver, "_search_trees", counted)
     return calls
@@ -665,6 +666,8 @@ class TestPackingUpperBound:
                     for l in range(1, 5):
                         u = packing_upper_bound(g, s, l)
                         assert min(best, l) <= u <= l, (g.edges, s, l)
+                        d = bounds.decision_bound(g, s, l)
+                        assert max(min(best, l), u) <= d <= l, (g.edges, s, l)
 
     def test_worst_r6_instance_refuted_without_search(self, monkeypatch):
         # K4 minus an edge, S = V, lifted to l = 4: every proxy has degree 4
@@ -690,6 +693,19 @@ class TestPackingUpperBound:
                 for s in combinations(range(g.n), size):
                     best = oracles.max_packing(g, s, "edge")
                     assert bounds._partition_bound(g, s) >= best, (g.edges, s)
+
+    def test_partition_stops_below_the_threshold_n5(self):
+        # a value below stop comes back exactly when the full local search
+        # ends below it; it never undercuts the full value, and is the full
+        # value from stop on
+        for g in gen_connected_graphs(5):
+            for size in range(3, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    full = bounds._partition_bound(g, s)
+                    for stop in range(6):
+                        got = bounds._partition_bound(g, s, stop)
+                        assert (got < stop) == (full < stop), (g.edges, s, stop)
+                        assert got >= full and (got < stop or got == full)
 
     def test_moved_partition_refutes_without_search(self, monkeypatch):
         # r7-medium-k4-1 of the solve pool: the least degree, the
@@ -809,6 +825,31 @@ class TestPeel:
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert decide_lambda_set(K5, (0, 1, 2), 3)
         assert decide_kappa_set(K5, (0, 1, 2), 3)
+
+    def test_yes_runs_no_flow(self, monkeypatch):
+        # the Menger cuts come after the peel, so a decision the peel
+        # answers runs none of them
+        monkeypatch.setattr(bounds, "_menger_flow", _forbidden)
+        monkeypatch.setattr(solver, "_menger_flow", _forbidden)
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        for g, s, l in ((K5, (0, 1, 2), 3), (K5, (0, 1, 2, 3), 2), (K4, (0, 1, 2), 2)):
+            assert decide_lambda_set(g, s, l)
+            assert decide_kappa_set(g, s, l)
+
+    def test_cuts_refute_after_the_peel(self, monkeypatch):
+        # the R2 graph of a tripartite graph with q = 2: every terminal
+        # has degree 2 and the partition bound is 2, but terminal 8 hangs
+        # on the rest by one edge, which the peel cannot get round and the
+        # Menger cut from terminal 6 finds
+        g = reduce_p1_to_kappa(
+            Graph(6, ((0, 3), (0, 4), (1, 2), (2, 4)), (0, 0, 1, 1, 2, 2)), 2
+        ).graph
+        s = (6, 7, 8)
+        assert bounds.decision_bound(g, s, 2) == 2
+        assert solver._peel(g, s, sum(1 << t for t in s), 2, True) == 1
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert not decide_kappa_set(g, s, 2)
+        assert not decide_lambda_set(g, s, 2)
 
 
 class TestLongCycle:
@@ -1034,10 +1075,98 @@ def _p1_family() -> list[Graph]:
     return graphs
 
 
+def _first_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
+    """Plain recursive Algorithm X with the branch order of
+    ``solver._exact_cover`` and no memo: the lowest uncovered item with
+    the fewest rows inside the uncovered items, its rows by index."""
+    if not universe:
+        return ()
+    live = [i for i, r in enumerate(rows) if r & universe == r]
+    item = min(
+        (x for x in range(universe.bit_length()) if (universe >> x) & 1),
+        key=lambda x: sum(1 for i in live if (rows[i] >> x) & 1),
+    )
+    for i in live:
+        if (rows[i] >> item) & 1:
+            rest = _first_cover(universe & ~rows[i], rows)
+            if rest is not None:
+                return (i, *rest)
+    return None
+
+
+class _CountedRows(list):
+    """A row list that counts the rows read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 class TestExactCover:
     def test_empty_universe(self):
         assert solver._exact_cover(0, []) == ()
         assert solver._exact_cover(0, [0b1, 0b11]) == ()
+
+    def test_refuted_remainders_are_skipped(self):
+        # the R1 graph with the most nodes in the n <= 2, m <= 4 family:
+        # 78 vertices, 102 rainbow triples, no partition; the search tries
+        # 668 rows without the memo of refuted remainders and 88 with it
+        inst = ThreeDMInstance(2, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        g = reduce_3dm_to_p1(inst)[0]
+        rows = _CountedRows(
+            (1 << u) | (1 << v) | (1 << w) for u, v, w in rainbow_connected_triples(g)
+        )
+        assert (g.n, len(rows)) == (78, 102)
+        assert solver._exact_cover(g.all_vertices_mask, rows) is None
+        assert rows.reads <= 100
+
+    def test_shared_unions_against_subset_scan(self):
+        # rows cut from a few blocks in several ways, so that many row
+        # sets cover the same items and the same remainders come back on
+        # many paths, and a few rows across blocks, whose branches fail;
+        # some items are covered by no row.  The answer must be a cover
+        # exactly when one exists, and the one the search without a memo
+        # finds first
+        rng = random.Random(16)
+        for _ in range(300):
+            items = rng.randint(2, 9)
+            universe = (1 << items) - 1
+            order = rng.sample(range(items), items)
+            rows = []
+            while order:
+                block = [order.pop() for _ in range(min(len(order), rng.randint(2, 4)))]
+                for _ in range(rng.randint(1, 3)):
+                    cut = rng.randint(1, len(block))
+                    mixed = rng.sample(block, len(block))
+                    rows.append(sum(1 << x for x in mixed[:cut]))
+                    rows.append(sum(1 << x for x in mixed[cut:]))
+            for _ in range(rng.randint(0, 3)):  # rows across blocks
+                rows.append(sum(1 << x for x in rng.sample(range(items), 2)))
+            rows = [r for r in rows if r]
+            if rng.random() < 0.3:
+                hole = 1 << rng.randrange(items)
+                rows = [r & ~hole for r in rows]
+            rng.shuffle(rows)
+            rows = rows[:13]
+            covers = set()
+            for mask in range(1 << len(rows)):
+                union = 0
+                for i in range(len(rows)):
+                    if (mask >> i) & 1:
+                        if union & rows[i]:
+                            break
+                        union |= rows[i]
+                else:
+                    if union == universe:
+                        covers.add(tuple(i for i in range(len(rows)) if mask >> i & 1))
+            got = solver._exact_cover(universe, rows)
+            assert got == _first_cover(universe, rows), (universe, rows)
+            if got is None:
+                assert not covers, (universe, rows)
+            else:
+                assert tuple(sorted(got)) in covers, (universe, rows, got)
 
     def test_against_subset_scan(self):
         # small random instances with duplicate rows, empty rows and items
