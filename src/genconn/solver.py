@@ -70,8 +70,12 @@ local search stopped once it falls below l), ``_peel``, and then
 Where a search would run, ``_peel`` tries to answer yes: a greedy lower
 bound that, from each terminal in turn, takes shortest-path S-trees
 (``graphs._paths``) one after another, each over the items the earlier
-ones left.  A decision it reaches is answered yes without a search or a
-Menger cut.  The peel builds no witness, so a maximum still takes its
+ones left.  A root whose open items number exactly the trees still to
+place is saturated: each tree holds one of them, so its walk keeps only
+the lowest and leaves the rest to later trees, and a root with l items
+from the start is peeled once with each as its first tree's.  A
+decision it reaches is answered yes without a search or a Menger cut.
+The peel builds no witness, so a maximum still takes its
 trees from the search at the value.  A kappa decision or maximum builds
 the shared part of its items (``_kappa_items``) once, for the peel and
 the searches on the same graph.
@@ -228,29 +232,53 @@ def _peel(
     (``vertex_mode``), or its edges.  The trees of one root are pairwise
     disjoint in their items, so each count is a packing.  It stops at the
     first root whose count reaches l.  In ``vertex_mode``, ``items`` may
-    hand in ``_kappa_items`` of g, when the caller has built it."""
+    hand in ``_kappa_items`` of g, when the caller has built it.
+
+    The root's items are its non-terminal neighbours and its
+    terminal-terminal edges (``vertex_mode``), or its edges.  A root is
+    saturated when its open items number exactly the trees still to
+    place: each of those trees needs one of them, so each can have only
+    one, and a tree that took two would leave a later tree none.  So the
+    walk of a saturated root keeps only its lowest open item, vertex
+    items before edge items, and leaves the others to later trees.  A
+    root with exactly l items from the start is peeled once per item,
+    with that item as its first tree's.  This only chooses which trees
+    the peel takes; every count is still a packing."""
     inc = g.incident
     edges = g.edges
+    n = g.n
     if vertex_mode:
         base, all_links = items or _kappa_items(g, terminals, s_mask)
     else:
-        base = [0] * g.n
+        base = [0] * n
         all_links = g.all_edges_mask
     best = 0
     for r in terminals:
-        vset = g.all_vertices_mask
-        links = all_links
-        count = 0
-        while count < l:
-            found = _paths(base, inc, edges, 1 << r, s_mask, vset, links)
-            if found is None:
-                break
-            count += 1
-            vset &= ~found[0] | s_mask
-            links &= ~found[1]
-        if count == l:
-            return count
-        best = max(best, count)
+        # the root's items as one mask: vertex x at bit x, edge j at n + j
+        at_r = base[r] | ((inc[r] & all_links) << n)
+        firsts = [0]
+        if at_r.bit_count() == l:
+            firsts = [1 << x for x in range(at_r.bit_length()) if (at_r >> x) & 1]
+        for first in firsts:
+            vset = g.all_vertices_mask
+            links = all_links
+            count = 0
+            while count < l:
+                drop = 0
+                open_items = (base[r] & vset) | ((inc[r] & links) << n)
+                if open_items.bit_count() == l - count:
+                    drop = open_items ^ (open_items & -open_items if count else first)
+                found = _paths(
+                    base, inc, edges, 1 << r, s_mask, vset & ~drop, links & ~(drop >> n)
+                )
+                if found is None:
+                    break
+                count += 1
+                vset &= ~found[0] | s_mask
+                links &= ~found[1]
+            if count == l:
+                return count
+            best = max(best, count)
     return best
 
 
@@ -456,7 +484,12 @@ def _search_trees(
         comps[target] = saved_comps
         return None
 
-    return rec()
+    # rec reaches itself through its closure cell; emptying the cell frees
+    # the closures and node state by reference counting, not by the collector
+    try:
+        return rec()
+    finally:
+        del rec
 
 
 def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -43,10 +44,12 @@ from genconn.solver import (
     solve_problem1,
 )
 from genconn.verify import (
+    VerifyBudget,
     gen_3dm,
     gen_balanced_tripartite,
     gen_connected_graphs,
     verify_packing_result,
+    verify_reduction,
 )
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -593,6 +596,19 @@ class TestSupportWalk:
                     self._check(g, s, base, vmask, links, vmask, 0)
 
 
+class TestSearchGarbage:
+    def test_search_leaves_no_cycle(self):
+        # the search's closures are freed by reference counting: nothing
+        # is left for the collector after a search
+        gc.collect()
+        gc.disable()
+        try:
+            assert solver._search_trees(K5, 0b111, (0, 1, 2), 2, True) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestLayerOrder:
     """``solver._layer_order`` against the order it names: candidates by
     the oracle BFS distance of their key vertex (the vertex item itself,
@@ -850,6 +866,38 @@ class TestPeel:
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert not decide_kappa_set(g, s, 2)
         assert not decide_lambda_set(g, s, 2)
+
+    def test_saturated_root_spreads_its_items(self, monkeypatch):
+        # the R2 graph with q = 2: apex 6 has the two items 0 and 1.  A
+        # first tree 6-1-2-7, 6-0-5-8 would take both; one item per tree
+        # gives {0, 3, 5} and then {1, 2, 4}
+        g = reduce_p1_to_kappa(
+            Graph(6, ((0, 3), (0, 5), (1, 2), (2, 4)), (0, 0, 1, 1, 2, 2)), 2
+        ).graph
+        s = (6, 7, 8)
+        s_mask = sum(1 << t for t in s)
+        assert solver._peel(g, s, s_mask, 2, True) == 2
+        assert solver._peel(g, s, s_mask, 2, False) == 2
+        monkeypatch.setattr(solver, "_search_trees", _forbidden)
+        assert decide_kappa_set(g, s, 2)
+        assert decide_lambda_set(g, s, 2)
+
+    def test_r2_searches_only_refutations(self, monkeypatch):
+        # every R2 "yes" at q <= 2 is answered by the peel; the searches
+        # left are the 328 "no" decisions
+        found = []
+        search = solver._search_trees
+
+        def recorded(*args):
+            res = search(*args)
+            found.append(res is not None)
+            return res
+
+        monkeypatch.setattr(solver, "_search_trees", recorded)
+        report = verify_reduction("R2", VerifyBudget(max_n=2))
+        assert report.passed
+        assert len(found) == 328
+        assert not any(found)
 
 
 class TestLongCycle:
