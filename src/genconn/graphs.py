@@ -6,16 +6,21 @@ line-graph construction indexes its vertices by it) while the canonical
 file serialization sorts it lexicographically.
 
 All types are immutable after construction, so any number of concurrent
-readers is safe.  Internally, vertex and edge subsets are manipulated as
-integer bitmasks (bit v of a vertex mask, bit j of an edge mask), which
-keeps the search kernels allocation-free.
+readers is safe.  ``Graph`` and the instance types are ``__slots__``
+classes on one value base, ``_Value``: each validates its fields in
+``__init__``, and any later assignment or deletion raises AttributeError.
+``SteinerTree`` is a ``typing.NamedTuple``.  Neither needs
+``dataclasses``, whose import would add about 6 ms to every start.
+Internally, vertex and edge subsets are manipulated as integer bitmasks
+(bit v of a vertex mask, bit j of an edge mask), which keeps the search
+kernels allocation-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 class GraphError(ValueError):
     """A graph or problem instance violates a structural invariant."""
@@ -33,33 +38,84 @@ def vertex_set(members: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(members)))
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Base of the validated types: a slotted record compared by value.
+
+    A subclass names its public fields, in constructor order, in
+    ``_fields``, and its ``__init__`` validates them and stores them with
+    ``object.__setattr__``.  Afterwards assigning or deleting any
+    attribute raises AttributeError.  Two records are equal when they are
+    of the same class with equal fields, and hash as the tuple of their
+    fields, so a record holding a mutable field is unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class Graph(_Value):
     """Undirected simple graph, optionally tagged with a tripartition.
 
     ``part_tag``, when present, assigns every vertex a part in {0, 1, 2}
     and every edge must join two distinct parts.
     """
 
+    # ``__dict__`` holds the cached ``edge_set``.
+    __slots__ = ("n", "edges", "part_tag", "adjacency", "incident", "__dict__")
+    _fields = ("n", "edges", "part_tag")
+
     n: int
-    edges: tuple[tuple[int, int], ...] = ()
-    part_tag: tuple[int, ...] | None = None
+    edges: tuple[tuple[int, int], ...]
+    part_tag: tuple[int, ...] | None
     # Per-vertex bitmasks of neighbor vertices and of incident edge
     # indices, built while the edges are validated.
-    adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    incident: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adjacency: tuple[int, ...]
+    incident: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"negative vertex count {self.n}")
-        adj = [0] * self.n
-        inc = [0] * self.n
+    def __init__(
+        self,
+        n: int,
+        edges: tuple[tuple[int, int], ...] = (),
+        part_tag: tuple[int, ...] | None = None,
+    ) -> None:
+        if n < 0:
+            raise GraphError(f"negative vertex count {n}")
+        adj = [0] * n
+        inc = [0] * n
         bit = 1
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if (adj[u] >> v) & 1:
                 raise GraphError(f"duplicate edge ({u},{v})")
             adj[u] |= 1 << v
@@ -67,21 +123,22 @@ class Graph:
             inc[u] |= bit
             inc[v] |= bit
             bit <<= 1
-        object.__setattr__(self, "adjacency", tuple(adj))
-        object.__setattr__(self, "incident", tuple(inc))
-        if self.part_tag is not None:
-            if len(self.part_tag) != self.n:
-                raise GraphError(
-                    f"part tags cover {len(self.part_tag)} of {self.n} vertices"
-                )
-            for v, p in enumerate(self.part_tag):
+        if part_tag is not None:
+            if len(part_tag) != n:
+                raise GraphError(f"part tags cover {len(part_tag)} of {n} vertices")
+            for v, p in enumerate(part_tag):
                 if p not in (0, 1, 2):
                     raise GraphError(f"vertex {v} has invalid part {p}")
-            for u, v in self.edges:
-                if self.part_tag[u] == self.part_tag[v]:
+            for u, v in edges:
+                if part_tag[u] == part_tag[v]:
                     raise GraphError(
-                        f"edge ({u},{v}) joins two vertices of part {self.part_tag[u]}"
+                        f"edge ({u},{v}) joins two vertices of part {part_tag[u]}"
                     )
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _set(self, "part_tag", part_tag)
+        _set(self, "adjacency", tuple(adj))
+        _set(self, "incident", tuple(inc))
 
     @classmethod
     def from_edges(
@@ -135,8 +192,7 @@ class Graph:
         return sizes[0]
 
 
-@dataclass(frozen=True)
-class SteinerTree:
+class SteinerTree(NamedTuple):
     """A tree inside a host graph, given by its vertex and edge sets.
 
     ``vertices`` is sorted and ``edges`` holds (u, v) pairs with u < v in
@@ -168,78 +224,98 @@ class SteinerTree:
         return m
 
 
-@dataclass(frozen=True)
-class ThreeDMInstance:
+class ThreeDMInstance(_Value):
     """Three ground sets of size n and a list of index triples."""
 
-    n: int
-    triples: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = _fields = ("n", "triples")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"negative ground-set size {self.n}")
+    n: int
+    triples: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, n: int, triples: tuple[tuple[int, int, int], ...] = ()) -> None:
+        if n < 0:
+            raise GraphError(f"negative ground-set size {n}")
         seen = set()
-        for t in self.triples:
-            if len(t) != 3 or any(not (0 <= x < self.n) for x in t):
-                raise GraphError(f"triple {t} out of range for n={self.n}")
+        for t in triples:
+            if len(t) != 3 or any(not (0 <= x < n) for x in t):
+                raise GraphError(f"triple {t} out of range for n={n}")
             if t in seen:
                 raise GraphError(f"duplicate triple {t}")
             seen.add(t)
+        _set(self, "n", n)
+        _set(self, "triples", triples)
 
     @property
     def m(self) -> int:
         return len(self.triples)
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(_Value):
     """CNF with exactly three literals per clause.
 
     Literals are signed 1-based variable indices (DIMACS convention);
     duplicate literals inside a clause are permitted.
     """
 
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = _fields = ("num_vars", "clauses")
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise GraphError(f"negative variable count {self.num_vars}")
-        for c in self.clauses:
+    num_vars: int
+    clauses: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, num_vars: int, clauses: tuple[tuple[int, int, int], ...] = ()) -> None:
+        if num_vars < 0:
+            raise GraphError(f"negative variable count {num_vars}")
+        for c in clauses:
             if len(c) != 3:
                 raise GraphError(f"clause {c} does not have exactly three literals")
             for lit in c:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise GraphError(f"literal {lit} out of range in clause {c}")
+        _set(self, "num_vars", num_vars)
+        _set(self, "clauses", clauses)
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(_Value):
     """A transformed instance: graph, terminal set, threshold, provenance.
 
     ``gadget_map`` names each constructed vertex by its role in the
-    construction; roles are unique within one output.  ``threshold`` is
-    None for value-preserving constructions that carry no decision bound.
+    construction; roles are unique within one output, and it defaults to
+    a new empty map.  ``threshold`` is None for value-preserving
+    constructions that carry no decision bound.
     """
 
-    graph: Graph
-    terminals: tuple[int, ...] = ()
-    threshold: int | None = None
-    gadget_map: Mapping[int, str] = field(default_factory=dict)
+    __slots__ = _fields = ("graph", "terminals", "threshold", "gadget_map")
 
-    def __post_init__(self) -> None:
-        for t in self.terminals:
-            if not (0 <= t < self.graph.n):
-                raise GraphError(f"terminal {t} outside graph of order {self.graph.n}")
-        if self.threshold is not None and self.threshold < 0:
-            raise GraphError(f"negative threshold {self.threshold}")
-        labels = list(self.gadget_map.values())
+    graph: Graph
+    terminals: tuple[int, ...]
+    threshold: int | None
+    gadget_map: Mapping[int, str]
+
+    def __init__(
+        self,
+        graph: Graph,
+        terminals: tuple[int, ...] = (),
+        threshold: int | None = None,
+        gadget_map: Mapping[int, str] | None = None,
+    ) -> None:
+        if gadget_map is None:
+            gadget_map = {}
+        for t in terminals:
+            if not (0 <= t < graph.n):
+                raise GraphError(f"terminal {t} outside graph of order {graph.n}")
+        if threshold is not None and threshold < 0:
+            raise GraphError(f"negative threshold {threshold}")
+        labels = list(gadget_map.values())
         if len(labels) != len(set(labels)):
             raise GraphError("gadget roles are not injective")
+        _set(self, "graph", graph)
+        _set(self, "terminals", terminals)
+        _set(self, "threshold", threshold)
+        _set(self, "gadget_map", gadget_map)
 
 
 def _reach(base: Sequence[int], start: int, vset: int) -> int:

@@ -93,9 +93,8 @@ searched as it is, after one pass over its adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
     CnfFormula,
@@ -124,8 +123,7 @@ class GuardError(RuntimeError):
     """Input exceeds the desk-scale guard; pass force=True to override."""
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     """Maximum packing size together with a witness realizing it."""
 
     value: int

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import io, reductions, solver, trees
 from .graphs import CnfFormula, Graph, GraphError, ThreeDMInstance, is_connected
@@ -32,8 +31,7 @@ GEN_3DM_MAX_N = 2
 GEN_TRIPARTITE_MAX_Q = 2
 
 
-@dataclass(frozen=True)
-class VerifyBudget:
+class VerifyBudget(NamedTuple):
     """Generator bounds for one verification run.
 
     ``max_n`` bounds the host graph order (R3, R4, R6), the part size q
@@ -52,26 +50,24 @@ class VerifyBudget:
 
     def describe(self) -> str:
         """Every field that differs from its default, and the seed."""
+        defaults = self._field_defaults
         parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "seed" or value != f.default:
+        for name, value in zip(self._fields, self):
+            if name == "seed" or name not in defaults or value != defaults[name]:
                 if isinstance(value, tuple):
                     value = ",".join(map(str, value))
-                parts.append(f"{f.name}={value}")
+                parts.append(f"{name}={value}")
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     kind: str  # "equivalence", "size" or "witness"
     instance: str  # replayable serialization
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     reduction_name: str
     budget: VerifyBudget
     instances_checked: int
@@ -234,8 +230,7 @@ def verify_packing_result(
 Case = tuple[Callable[[], str], tuple]
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """One row of the reduction table.  The builder and size identity are
     named, and generators, deciders and checks look up module attributes
     when called, so wrappers put on those attributes see every call."""

@@ -212,6 +212,18 @@ def test_package_entry_point(tmp_path):
     assert (out.returncode, out.stdout) == (0, "3\n")
 
 
+def test_start_up_imports_no_introspection_modules():
+    """Importing the CLI and the verify harness in a fresh interpreter
+    loads neither ``dataclasses`` nor the modules it brings in, which
+    would add a dozen modules to every start before any work."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys; before = set(sys.modules); import genconn.cli, genconn.verify; "
+             "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout == "\n"
+
+
 def test_readme_names_every_exit_code():
     """README's "Exit codes" paragraph names, in backquotes, exactly the
     values of ``cli.EXIT_*``, so no way a run can end goes undocumented."""

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 from itertools import combinations
@@ -165,3 +168,107 @@ class TestInstanceTypes:
 
         with pytest.raises(GraphError, match="injective"):
             ReductionOutput(Graph(2), (), None, {0: "a", 1: "a"})
+
+
+def _record_pairs():
+    """(type, a, b) for each of the ten record types: two valid argument
+    tuples whose every field differs, so that any one field of ``a`` may
+    be swapped for ``b``'s and the arguments stay valid."""
+    from genconn.graphs import CnfFormula, ReductionOutput, ThreeDMInstance
+    from genconn.solver import PackingResult
+    from genconn.verify import (
+        REDUCTIONS,
+        Failure,
+        Reduction,
+        VerificationReport,
+        VerifyBudget,
+    )
+
+    path = Graph(3, ((0, 1), (1, 2)))
+    tree = SteinerTree((0, 1), ((0, 1),))
+    failure = Failure("size", "graph 1 0\n", "1", "2")
+    row = REDUCTIONS["R4"]
+    return [
+        (Graph, (3, ((0, 1), (1, 2)), None), (4, ((0, 1),), (0, 1, 0))),
+        (ThreeDMInstance, (1, ((0, 0, 0),)), (2, ())),
+        (CnfFormula, (2, ((1, -2, 2),)), (3, ())),
+        (ReductionOutput, (path, (0, 2), 1, {0: "a"}), (Graph(4), (1,), None, {})),
+        (SteinerTree, ((0, 1), ((0, 1),)), ((0, 1, 2), ((0, 1), (1, 2)))),
+        (PackingResult, (1, (tree,)), (0, ())),
+        (VerifyBudget, (2, 3, 4, (4,), (2,), 5, 6), (1, None, None, (), (), 0, 0)),
+        (Failure, tuple(failure), ("witness", "graph 2 0\n", "3", "4")),
+        (VerificationReport, ("R1", VerifyBudget(2), 3, (failure,), 0.5),
+         ("R2", VerifyBudget(1), 0, (), 0.25)),
+        (Reduction, tuple(row),
+         ("R0", "none", VerifyBudget(1), iter, "build", "size", len, repr, "text",
+          (), "q", (), print)),
+    ]
+
+
+@pytest.mark.parametrize("cls, a, b", _record_pairs(), ids=lambda x: getattr(x, "__name__", ""))
+class TestRecordSemantics:
+    """Every record type is an immutable value: the validated graph and
+    instance types as slotted classes, the others as named tuples."""
+
+    def test_equality_and_hash(self, cls, a, b):
+        x, y = cls(*a), cls(*a)
+        assert x == y and not (x != y)
+        if cls.__name__ != "ReductionOutput":  # its gadget map is a dict
+            assert hash(x) == hash(y)
+        for i in range(len(a)):
+            changed = a[:i] + (b[i],) + a[i + 1:]
+            assert cls(*changed) != x, cls._fields[i]
+
+    def test_fields_are_read_only(self, cls, a, b):
+        x = cls(*a)
+        for name, value in zip(cls._fields, a):
+            assert getattr(x, name) is value
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert tuple(getattr(x, name) for name in cls._fields) == a
+
+    def test_keyword_construction(self, cls, a, b):
+        assert cls(**dict(zip(cls._fields, a))) == cls(*a)
+
+    def test_validated_types_are_slotted_values(self, cls, a, b):
+        x = cls(*a)
+        if cls.__module__ != "genconn.graphs" or cls is SteinerTree:
+            assert isinstance(x, tuple)
+            return
+        assert not isinstance(x, tuple)
+        assert not hasattr(x, "_make") and not hasattr(x, "_replace")
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, a))
+        assert repr(x) == f"{cls.__name__}({body})"
+        assert copy.copy(x) == x == pickle.loads(pickle.dumps(x))
+
+
+class TestRecordDefaults:
+    def test_defaults(self):
+        from genconn.graphs import CnfFormula, ReductionOutput, ThreeDMInstance
+        from genconn.verify import REDUCTIONS, Reduction, VerifyBudget
+
+        g = Graph(2)
+        assert (g.edges, g.part_tag) == ((), None)
+        assert ThreeDMInstance(2).triples == () and CnfFormula(2).clauses == ()
+        out = ReductionOutput(g)
+        assert (out.terminals, out.threshold, out.gadget_map) == ((), None, {})
+        assert ReductionOutput(g).gadget_map is not out.gadget_map
+        assert VerifyBudget(max_n=2) == VerifyBudget(2, None, None, (), (), 0, 0)
+        row = REDUCTIONS["R1"]
+        short = Reduction(*tuple(row)[:9])
+        assert (short.flags, short.label, short.needs, short.check) == ((), "l", (), None)
+
+    def test_as_the_benchmark_builds_them(self):
+        from genconn.solver import PackingResult
+
+        tree = SteinerTree(tuple([0, 1]), tuple(sorted([(0, 1)])))
+        result = PackingResult(1, (tree,))
+        assert (result.value, result.witness[0].edges) == (1, ((0, 1),))
+
+    def test_edge_set_is_cached(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        assert g.edge_set == {(0, 1), (1, 2)}
+        assert g.edge_set is g.edge_set
+        assert g == Graph(3, ((0, 1), (1, 2)))

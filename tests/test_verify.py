@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 
 import pytest
@@ -157,7 +156,7 @@ class TestVerifyReduction:
         def source(g, s, l, k):
             return row.source(g, s, l, k) != (g == path)
 
-        monkeypatch.setitem(REDUCTIONS, "R4", dataclasses.replace(row, source=source))
+        monkeypatch.setitem(REDUCTIONS, "R4", row._replace(source=source))
         serialize = io.serialize_graph
         calls = []
 
@@ -176,6 +175,15 @@ class TestVerifyReduction:
 
     def test_default_budgets_cover_all_reductions(self):
         assert set(DEFAULT_BUDGETS) == {"R1", "R2", "R3", "R4", "R5", "R6"}
+
+    @pytest.mark.parametrize("budget, line", [
+        (DEFAULT_BUDGETS["R1"], "max_n=2 max_m=3 seed=0"),
+        (VerifyBudget(max_n=3, ks=(4, 5), ls=(2,)), "max_n=3 ks=4,5 ls=2 seed=0"),
+        (VerifyBudget(max_n=4, max_terminals=3, seed=7), "max_n=4 max_terminals=3 seed=7"),
+    ])
+    def test_budget_describe(self, budget, line):
+        # a report's "budget:" line: the fields off their defaults, and the seed
+        assert budget.describe() == line
 
     @pytest.mark.parametrize("name, budget", [
         ("R4", VerifyBudget(max_n=4)),
