@@ -328,6 +328,12 @@ def _search_trees(
     so by the distance of the vertex item or of the edge item's outside
     endpoint, then by id; unreached candidates come last.  A single
     candidate is tried without a walk.
+
+    The search runs on an explicit stack with one frame per node on the
+    current path: the target color, its ban and component list as the
+    node found them, the items in branch order and the next to try.  A
+    node's depth is the number of items the colors hold, so it is bounded
+    by memory and not by Python's recursion limit.
     """
     inc = g.incident
     edges = g.edges
@@ -403,8 +409,12 @@ def _search_trees(
             cut ^= inc[v]
         return ((near & vbits) | (cut << off)) & free & ~ban[i]
 
-    def rec() -> list[tuple[int, int]] | None:
-        nonlocal free
+    stack = []  # frames: [target, saved ban, saved comps, order, next index]
+
+    def enter() -> list[tuple[int, int]] | None:
+        """Visit the node the search stands at: the packing when every
+        color connects its terminals; otherwise None, after pushing the
+        node's frame unless a prune fails the node."""
         # Branch on the first unsatisfied color, attaching to whichever of
         # its components has the fewest candidates (fail-first locally).
         target = -1
@@ -463,31 +473,38 @@ def _search_trees(
                 (shared_v | (open_items & vbits)) & ~target_k, open_items >> off,
                 cands,
             )
-        # Bans are scoped to this node: branch r excludes the items tried
-        # by branches 1..r-1, and the whole set is restored on failure.
-        saved = ban[target]
-        saved_comps = comps[target]
-        for x in order:
+        stack.append([target, ban[target], comps[target], order, 0])
+        return None
+
+    while True:
+        res = enter()
+        if res is not None:
+            return res
+        # Take the next branch of the deepest frame that has one.  Bans are
+        # scoped to a node: branch r excludes the items tried by branches
+        # 1..r-1, and the whole set is restored once every branch failed.
+        while stack:
+            frame = stack[-1]
+            target, saved, saved_comps, order, r = frame
+            if r:
+                b = 1 << order[r - 1]
+                free |= b
+                color[target] ^= b
+                ban[target] |= b
+            if r == len(order):
+                ban[target] = saved
+                comps[target] = saved_comps
+                stack.pop()
+                continue
+            frame[4] = r + 1
+            x = order[r]
             b = 1 << x
             color[target] |= b
             free ^= b
             comps[target] = merge(saved_comps, x)
-            res = rec()
-            free |= b
-            color[target] ^= b
-            if res is not None:
-                return res
-            ban[target] |= b
-        ban[target] = saved
-        comps[target] = saved_comps
-        return None
-
-    # rec reaches itself through its closure cell; emptying the cell frees
-    # the closures and node state by reference counting, not by the collector
-    try:
-        return rec()
-    finally:
-        del rec
+            break
+        else:
+            return None
 
 
 def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:

@@ -973,6 +973,14 @@ class TestCircularLadder:
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert decide(_circular_ladder(750), (0, 250, 500), 2)
 
+    # Without the peel the search goes one node deeper per item the colors
+    # take, past the default recursion limit: C600 is about the smallest
+    # ladder at which a recursive search failed in both modes
+    @pytest.mark.parametrize("decide", [decide_kappa_set, decide_lambda_set])
+    def test_search_deeper_than_the_recursion_limit(self, decide, monkeypatch):
+        monkeypatch.setattr(solver, "_peel", lambda *args: 0)
+        assert decide(_circular_ladder(600), (0, 200, 400), 2)
+
 
 def _subdivided_with_tail(g: Graph) -> Graph:
     """g with every edge subdivided once and a two-vertex path hung on
