@@ -7,7 +7,8 @@ file serialization sorts it lexicographically.
 
 All types are immutable after construction, so any number of concurrent
 readers is safe.  ``Graph`` and the instance types are ``__slots__``
-classes on one value base, ``_Value``: each validates its fields in
+classes on one value base, ``_Value``: each stores its sequence fields
+as tuples, whatever iterable it was given, validates its fields in
 ``__init__``, and any later assignment or deletion raises AttributeError.
 ``SteinerTree`` is a ``typing.NamedTuple``.  Neither needs
 ``dataclasses``, whose import would add about 6 ms to every start.
@@ -103,11 +104,14 @@ class Graph(_Value):
     def __init__(
         self,
         n: int,
-        edges: tuple[tuple[int, int], ...] = (),
-        part_tag: tuple[int, ...] | None = None,
+        edges: Iterable[tuple[int, int]] = (),
+        part_tag: Iterable[int] | None = None,
     ) -> None:
         if n < 0:
             raise GraphError(f"negative vertex count {n}")
+        edges = tuple(edges)
+        if part_tag is not None:
+            part_tag = tuple(part_tag)
         adj = [0] * n
         inc = [0] * n
         bit = 1
@@ -151,7 +155,7 @@ class Graph(_Value):
         return cls(
             n,
             tuple(normalize_edge(u, v) for u, v in edges),
-            None if part_tag is None else tuple(part_tag),
+            part_tag,
         )
 
     @property
@@ -232,9 +236,10 @@ class ThreeDMInstance(_Value):
     n: int
     triples: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, n: int, triples: tuple[tuple[int, int, int], ...] = ()) -> None:
+    def __init__(self, n: int, triples: Iterable[tuple[int, int, int]] = ()) -> None:
         if n < 0:
             raise GraphError(f"negative ground-set size {n}")
+        triples = tuple(triples)
         seen = set()
         for t in triples:
             if len(t) != 3 or any(not (0 <= x < n) for x in t):
@@ -262,9 +267,10 @@ class CnfFormula(_Value):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, num_vars: int, clauses: tuple[tuple[int, int, int], ...] = ()) -> None:
+    def __init__(self, num_vars: int, clauses: Iterable[tuple[int, int, int]] = ()) -> None:
         if num_vars < 0:
             raise GraphError(f"negative variable count {num_vars}")
+        clauses = tuple(clauses)
         for c in clauses:
             if len(c) != 3:
                 raise GraphError(f"clause {c} does not have exactly three literals")
@@ -298,12 +304,13 @@ class ReductionOutput(_Value):
     def __init__(
         self,
         graph: Graph,
-        terminals: tuple[int, ...] = (),
+        terminals: Iterable[int] = (),
         threshold: int | None = None,
         gadget_map: Mapping[int, str] | None = None,
     ) -> None:
         if gadget_map is None:
             gadget_map = {}
+        terminals = tuple(terminals)
         for t in terminals:
             if not (0 <= t < graph.n):
                 raise GraphError(f"terminal {t} outside graph of order {graph.n}")

@@ -78,17 +78,14 @@ decision it reaches is answered yes without a search or a Menger cut.
 The peel builds no witness, so a maximum still takes its
 trees from the search at the value.  A kappa decision or maximum builds
 the shared part of its items (``_kappa_items``) once, for the peel and
-the searches on the same graph.
+the searches.
 
-A search runs on the instance after ``_steiner_reduce``, the degree tests
-of Steiner reduction (Duin and Volgenant 1989; Koch and Martin 1998):
-non-terminals of degree <= 1 are deleted, runs of degree-2 non-terminals
-that close on themselves are deleted, and longer runs are contracted to
-one vertex.  A minimal S-tree holds no deleted vertex and takes a run
-whole or not at all, so both packing numbers are unchanged; witness trees
-are found on the reduced graph and mapped back edge by edge.  A graph
-with no non-terminal leaf and no two adjacent degree-2 non-terminals is
-searched as it is, after one pass over its adjacency.
+The search runs on an explicit stack of frames, one per node on the
+current path, so no function here recurses and a search may go as deep
+as memory allows.  It takes the graph as it is: a run of degree-2
+non-terminals is searched one item at a time, and each of its nodes
+orders its candidates by a walk that can cross the whole run, so a long
+run costs time quadratic in its length.
 """
 
 from __future__ import annotations
@@ -513,160 +510,12 @@ def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> boo
     return not s_mask & ~reached
 
 
-def _steiner_reduce(g: Graph, s_mask: int) -> tuple[Graph, list[tuple[int, int]]] | None:
-    """The degree tests of Steiner reduction (Duin and Volgenant 1989) on
-    a packing instance, or None when none applies:
-
-    - a non-terminal of degree <= 1 is deleted, repeatedly;
-    - a run of degree-2 non-terminals that is a cycle, or whose two ends
-      are one vertex, is deleted, and the leaf rule runs again;
-    - each remaining run of k >= 2 degree-2 non-terminals is contracted
-      to its lowest vertex, joined to both ends.
-
-    A minimal S-tree has no non-terminal leaf, so it holds no deleted
-    vertex and takes a run whole or not at all: kappa(S) and lambda(S)
-    are those of the reduced graph.  That graph keeps the vertex ids, a
-    deleted or contracted vertex staying isolated, and orders its edges
-    by the least input edge each covers.  With it come its edges' rows
-    for ``_lift``: the input vertices an edge stands in for, and the
-    input edges it covers; a contracted edge covers its half of the run.
-
-    A rule applies only where a non-terminal has degree <= 1 or two
-    degree-2 non-terminals are adjacent, which one pass over the
-    adjacency tests before any other work."""
-    adj = g.adjacency
-    low = 0  # the non-terminals of degree <= 2
-    hit = 0
-    bit = 1
-    for a in adj:
-        if a.bit_count() < 3 and not s_mask & bit:
-            if a & low or not a & (a - 1):  # next to an earlier one, or a leaf
-                hit = 1
-            low |= bit
-        bit <<= 1
-    if not hit:
-        return None
-
-    # A deleted vertex keeps no neighbours in ``nb``.
-    nb = list(adj)
-    todo = low  # the non-terminals that may have degree 2
-    stack = []
-    m = low
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        if nb[v].bit_count() < 2:
-            stack.append(v)
-    while True:
-        while stack:  # the leaf rule
-            v = stack.pop()
-            a = nb[v]
-            nb[v] = 0
-            if a:
-                w = a.bit_length() - 1
-                nb[w] ^= 1 << v
-                if not (s_mask >> w) & 1:
-                    todo |= 1 << w
-                    if nb[w].bit_count() < 2:
-                        stack.append(w)
-        chains = []
-        closed = False  # a deleted closed run changes its end's degree
-        m = todo
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if nb[v].bit_count() != 2:
-                continue
-            # Walk the run through v both ways, to its two ends.
-            p = nb[v] & -nb[v]
-            sides = []
-            for first in (p, nb[v] ^ p):
-                run = []
-                prev, cur = v, first.bit_length() - 1
-                while cur != v and not (s_mask >> cur) & 1 and nb[cur].bit_count() == 2:
-                    run.append(cur)
-                    prev, cur = cur, (nb[cur] ^ (1 << prev)).bit_length() - 1
-                sides.append((run, cur))
-                if cur == v:
-                    break
-            if len(sides) == 1:  # a cycle of degree-2 non-terminals
-                run = [v, *sides[0][0]]
-                ends = ()
-            else:
-                (left, a), (right, z) = sides
-                run = [*reversed(left), v, *right]
-                ends = (a, *run, z)
-            for x in run:
-                m &= ~(1 << x)
-            if not ends or ends[0] == ends[-1]:
-                for x in run:
-                    nb[x] = 0
-                if ends:
-                    a = ends[0]
-                    nb[a] &= ~((1 << run[0]) | (1 << run[-1]))
-                    if not (s_mask >> a) & 1:
-                        todo |= 1 << a
-                        if nb[a].bit_count() < 2:
-                            stack.append(a)
-                closed = True
-            elif len(run) >= 2:
-                chains.append(ends)
-        if not closed:
-            break
-
-    # Each half of a contracted run is one edge, keyed by its least input edge.
-    halves = {}
-    chain_edges = 0
-    inc = g.incident
-    for ends in chains:
-        c = min(ends[1:-1])
-        i = ends.index(c)
-        for lo, hi in ((0, i), (i, len(ends) - 1)):
-            extra = covered = 0
-            for k in range(lo, hi):
-                covered |= inc[ends[k]] & inc[ends[k + 1]]
-                extra |= 1 << ends[k + 1]
-            extra &= ~((1 << ends[hi]) | (1 << c))
-            chain_edges |= covered
-            least = (covered & -covered).bit_length() - 1
-            halves[least] = (ends[lo], ends[hi], extra, covered)
-    edges = []
-    rows = []
-    for j, (u, v) in enumerate(g.edges):
-        if (chain_edges >> j) & 1:
-            half = halves.get(j)
-            if half is not None:
-                u, v, extra, covered = half
-                edges.append((u, v) if u < v else (v, u))
-                rows.append((extra, covered))
-        elif (nb[u] >> v) & 1:
-            edges.append((u, v))
-            rows.append((0, 1 << j))
-    return Graph(g.n, tuple(edges)), rows
-
-
-def _lift(rows: Sequence[tuple[int, int]], tv: int, te: int) -> tuple[int, int]:
-    """The input (vertex mask, edge mask) of the subgraph (tv, te) of a
-    reduced graph whose edge rows are ``rows``."""
-    em = 0
-    while te:
-        b = te & -te
-        te ^= b
-        extra, covered = rows[b.bit_length() - 1]
-        tv |= extra
-        em |= covered
-    return tv, em
-
-
 def _max_search(
     g: Graph, terminals: Sequence[int], s_mask: int, ub: int, vertex_mode: bool
-) -> tuple[Graph, list[tuple[int, int]] | None, list[tuple[int, int]]]:
+) -> list[tuple[int, int]]:
     """A maximum packing at the terminals, given an upper bound ub on its
-    size: the graph searched, its edge rows from ``_steiner_reduce`` or
-    None, and one (vertex mask, edge mask) subgraph per tree.  A packing of
-    one tree, which no search decides, is the whole input graph.
+    size: one (vertex mask, edge mask) subgraph per tree.  A packing of
+    one tree, which no search decides, is the whole graph.
 
     An edge-disjoint search runs at ub first, and only when that fails at
     l = 2, 3, ... below ub until a decision fails; an internally disjoint
@@ -678,46 +527,39 @@ def _max_search(
     # terminal to each other one, so only a lower bound leaves open
     # whether the terminals are connected; a bound of 0 says they are not.
     if not ub or ub == 1 and not _terminals_connected(g, terminals, s_mask):
-        return g, None, []
-    one_tree = g, None, [(g.all_vertices_mask, g.all_edges_mask)]
+        return []
+    witness = [(g.all_vertices_mask, g.all_edges_mask)]
     if ub == 1:
-        return one_tree
-    h, rows = g, None
-    reduced = _steiner_reduce(g, s_mask)
-    if reduced is not None:
-        h, rows = reduced
+        return witness
     # The bounds are edge bounds: close to lambda, but blind to the vertex
     # cuts that hold kappa below them, where a search at ub would be one
     # more refutation on top of the one at kappa + 1; so kappa searches at
     # ub first only once a peel there has shown that it is the value.
     if vertex_mode:
-        items = _kappa_items(h, terminals, s_mask)
-        at_ub = ub >= 3 and _peel(h, terminals, s_mask, ub, True, items) == ub
+        items = _kappa_items(g, terminals, s_mask)
+        at_ub = ub >= 3 and _peel(g, terminals, s_mask, ub, True, items) == ub
     else:
         items, at_ub = None, True
     top = ub + 1
     if at_ub:
-        found = _search_trees(h, s_mask, terminals, ub, vertex_mode, items)
+        found = _search_trees(g, s_mask, terminals, ub, vertex_mode, items)
         if found is not None:
-            return h, rows, found
+            return found
         top = ub
-    witness = None
     for l in range(2, top):
-        found = _search_trees(h, s_mask, terminals, l, vertex_mode, items)
+        found = _search_trees(g, s_mask, terminals, l, vertex_mode, items)
         if found is None:
             break
         witness = found
-    if witness is None:
-        return one_tree
-    return h, rows, witness
+    return witness
 
 
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
     terminals = _check_terminals(g, s)
+    inc = g.incident
     if len(terminals) == 2:
         # Menger: the packing number is the flow value, and its paths are
         # a packing
-        inc = g.incident
         succ = _menger_flow(g.adjacency, *terminals, vertex_mode)[1]
         trees = []
         for path in _flow_paths(succ, *terminals):
@@ -730,18 +572,15 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
     else:
         s_mask = _mask_of(terminals)
         ub = packing_upper_bound(g, terminals)
-        h, rows, witness = _max_search(g, terminals, s_mask, ub, vertex_mode)
         # With no base, every step is an edge of the color and each
         # vertex on a path steps back by one edge: a tree whose leaves
         # are all terminals
-        base = [0] * h.n
+        base = [0] * g.n
         t0 = 1 << terminals[0]
         trees = [
-            _paths(base, h.incident, h.edges, t0, s_mask, tv, te)
-            for tv, te in witness
+            _paths(base, inc, g.edges, t0, s_mask, tv, te)
+            for tv, te in _max_search(g, terminals, s_mask, ub, vertex_mode)
         ]
-        if rows is not None:
-            trees = [_lift(rows, tv, te) for tv, te in trees]
     return PackingResult(
         len(trees), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )
@@ -772,9 +611,6 @@ def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bo
         return True
     if cut_bound(g, terminals, l, l) < l:
         return False
-    reduced = _steiner_reduce(g, s_mask)
-    if reduced is not None:
-        g, items = reduced[0], None
     return _search_trees(g, s_mask, terminals, l, vertex_mode, items) is not None
 
 
@@ -827,7 +663,7 @@ def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
         if best is not None and _packing_decide(g, s, best, vertex_mode):
             continue
         ub = packing_upper_bound(g, s, None if best is None else best - 1)
-        best = len(_max_search(g, s, _mask_of(s), ub, vertex_mode)[2])
+        best = len(_max_search(g, s, _mask_of(s), ub, vertex_mode))
         if best <= 1:
             break  # connected graphs never go below 1
     return best

@@ -244,6 +244,25 @@ class TestRecordSemantics:
         assert copy.copy(x) == x == pickle.loads(pickle.dumps(x))
 
 
+class TestSequenceFields:
+    def test_lists_are_stored_as_tuples(self):
+        from genconn.graphs import CnfFormula, ReductionOutput, ThreeDMInstance
+
+        path = Graph(3, ((0, 1), (1, 2)))
+        for cls, listed, tupled in [
+            (Graph, (3, [(0, 1), (1, 2)], [0, 1, 0]), (3, ((0, 1), (1, 2)), (0, 1, 0))),
+            (ThreeDMInstance, (2, [(0, 1, 1)]), (2, ((0, 1, 1),))),
+            (CnfFormula, (2, [(1, -2, 2)]), (2, ((1, -2, 2),))),
+            (ReductionOutput, (path, [0, 2]), (path, (0, 2))),
+        ]:
+            x, y = cls(*listed), cls(*tupled)
+            for name in cls._fields:
+                assert type(getattr(x, name)) is type(getattr(y, name)), (cls, name)
+            assert x == y
+            if cls is not ReductionOutput:  # its gadget map is a dict
+                assert hash(x) == hash(y)
+
+
 class TestRecordDefaults:
     def test_defaults(self):
         from genconn.graphs import CnfFormula, ReductionOutput, ThreeDMInstance

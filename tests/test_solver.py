@@ -362,20 +362,24 @@ class TestDeterminism:
     def test_witnesses_pinned_n5(self):
         # kappa then lambda for all 19,363 (g, S) pairs with n <= 5; the
         # values alone have a digest of their own, which a change of
-        # witnesses leaves as it is
+        # witnesses leaves as it is, and every witness is a packing of
+        # trees whose leaves are terminals
         h = hashlib.sha256()
         values = hashlib.sha256()
         for g in gen_connected_graphs(5):
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
-                    for r in (kappa_set(g, s), lambda_set(g, s)):
+                    for vertex_mode, maximum in ((True, kappa_set), (False, lambda_set)):
+                        r = maximum(g, s)
+                        assert verify_packing_result(g, s, r, vertex_mode=vertex_mode)
+                        assert _leaves_are_terminals(r, s), (g.edges, s)
                         h.update(_result_repr(r))
                         values.update(repr(r.value).encode())
         assert values.hexdigest() == (
             "8fabc6a1d3fbb01aa28545e4d0208eb9235d1140542cc6c4764998596c7739e8"
         )
         assert h.hexdigest() == (
-            "373226baee6b710f8c1186a52effde715ff3bb2cfb426ef5c96dac129c0b893d"
+            "79563e9186f1b4eae61e435b6f141d17909db71e571462d7610fbba1a8e77bdd"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -917,8 +921,9 @@ class TestLongCycle:
             assert not decide(cycle, s, 3)
 
     # Three terminals of K4 with every edge made a path of 251 edges: the
-    # reduction contracts each path to two edges, so the search runs on 10
-    # vertices whatever the length
+    # search takes the paths one vertex at a time, deeper than the default
+    # recursion limit, and orders each node's candidates by a walk along
+    # them, so it is quadratic in their length
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
@@ -932,7 +937,6 @@ class TestLongCycle:
             n += 250
         g = Graph.from_edges(n, edges)
         s = (0, 1, 2)
-        assert solver._steiner_reduce(g, 0b111)[0].m == 12
         res = maximum(g, s)
         assert res.value == 2
         assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
@@ -950,9 +954,8 @@ def _circular_ladder(n: int) -> Graph:
 
 
 class TestCircularLadder:
-    # C750 x K2 has 1,500 vertices and is cubic, so the Steiner reduction
-    # leaves it as it is; by Menger both packing numbers of two terminals
-    # are 3, answered by the flow at the default recursion limit
+    # C750 x K2 has 1,500 vertices and is cubic; by Menger both packing
+    # numbers of two terminals are 3, answered by the flow
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
@@ -1000,6 +1003,11 @@ def _k4_with(n: int, extra) -> Graph:
 
 
 class TestSteinerReduction:
+    """Graphs that the Steiner degree tests (Duin and Volgenant 1989)
+    would shrink, with degree-2 runs and pendant trees: the search takes
+    them as they are, and values, witnesses and decisions must match the
+    oracle."""
+
     def test_metamorphic_n4(self):
         for g in gen_connected_graphs(4):
             if g.n < 2:
@@ -1007,7 +1015,6 @@ class TestSteinerReduction:
             h = _subdivided_with_tail(g)
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
-                    assert solver._steiner_reduce(h, sum(1 << t for t in s)) is not None
                     trees = oracles.all_stein_trees(g, s)
                     for mode, vertex_mode, maximum in (
                         ("vertex", True, kappa_set),
@@ -1018,27 +1025,27 @@ class TestSteinerReduction:
                             g.edges, s, mode)
                         assert verify_packing_result(h, s, res, vertex_mode=vertex_mode)
 
-    # (graph, terminals, edges of the reduced graph)
+    # (graph, terminals)
     CASES = {
-        # the closed run 4-5-6 at vertex 2 is deleted
+        # a closed run 4-5-6 at vertex 2
         "cycle hung on a vertex": (
-            _k4_with(7, [(2, 4), (4, 5), (5, 6), (2, 6)]), (0, 1), 6),
-        # the run 4-5 between the adjacent 2 and 3 becomes 2-4-3
+            _k4_with(7, [(2, 4), (4, 5), (5, 6), (2, 6)]), (0, 1)),
+        # the run 4-5 between the adjacent 2 and 3
         "chain between adjacent ends": (
-            _k4_with(6, [(2, 4), (4, 5), (3, 5)]), (0, 1), 8),
-        # the run 4-5-6 between the terminals 0 and 1 becomes 0-4-1
+            _k4_with(6, [(2, 4), (4, 5), (3, 5)]), (0, 1)),
+        # the run 4-5-6 between the terminals 0 and 1
         "chain between terminals": (
-            _k4_with(7, [(0, 4), (4, 5), (5, 6), (1, 6)]), (0, 1), 8),
-        # the leaves 5 and 7 go first, then 6, then 4
+            _k4_with(7, [(0, 4), (4, 5), (5, 6), (1, 6)]), (0, 1)),
+        # the tree 4-5, 4-6-7 hung on vertex 2
         "pendant tree": (
-            _k4_with(8, [(2, 4), (4, 5), (4, 6), (6, 7)]), (0, 1, 3), 6),
-        # deleting the closed run 5-6 leaves 4 with degree 2, so 7-4
-        # becomes one run between the terminals 0 and 1
+            _k4_with(8, [(2, 4), (4, 5), (4, 6), (6, 7)]), (0, 1, 3)),
+        # without the closed run 5-6, vertex 4 has degree 2, and 7-4 is
+        # one run between the terminals 0 and 1
         "end drops to degree 2": (
-            _k4_with(8, [(0, 7), (4, 7), (1, 4), (4, 5), (5, 6), (4, 6)]), (0, 1), 8),
-        # deleting the closed run 9-10 leaves 8 a leaf
+            _k4_with(8, [(0, 7), (4, 7), (1, 4), (4, 5), (5, 6), (4, 6)]), (0, 1)),
+        # without the closed run 9-10, vertex 8 is a leaf
         "end drops to degree 1": (
-            _k4_with(11, [(2, 8), (8, 9), (9, 10), (8, 10)]), (0, 3), 6),
+            _k4_with(11, [(2, 8), (8, 9), (9, 10), (8, 10)]), (0, 3)),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -1047,23 +1054,13 @@ class TestSteinerReduction:
         ("edge", False, lambda_set, decide_lambda_set),
     ])
     def test_edge_cases(self, name, mode, vertex_mode, maximum, decide):
-        g, s, reduced_m = self.CASES[name]
-        h, rows = solver._steiner_reduce(g, sum(1 << t for t in s))
-        assert h.m == len(rows) == reduced_m
+        g, s = self.CASES[name]
         best = oracles.max_packing(g, s, mode)
         res = maximum(g, s)
         assert res.value == best
         assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
         assert decide(g, s, best)
         assert not decide(g, s, best + 1)
-
-    def test_skips_graphs_without_a_rule(self):
-        # degree-2 non-terminals that are not adjacent, and terminal leaves
-        c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
-        assert solver._steiner_reduce(c6, 0b010101) is None
-        assert solver._steiner_reduce(P4, 0b1001) is not None
-        assert solver._steiner_reduce(P4, 0b1111) is None
-        assert solver._steiner_reduce(K4, 0b0011) is None
 
 
 @st.composite
