@@ -2,17 +2,14 @@
 max-flow behind them, behind the two-terminal packings and behind the
 classical connectivities.
 
-``packing_upper_bound`` gives the packing search its refutations without
-search: a threshold above the bound has no packing, so the solver answers
-no at once and never searches for a maximum above it.  It is the least
-of four bounds: the least terminal degree, the partition bound of
-Nash-Williams and Tutte on the nearest-terminal partition after a local
-search (``_partition_bound``) and on the terminal stars
-(``_star_bound``), and the least Menger edge cut from the first
-terminal.  A decision takes the same bounds in two steps, with the
-solver's greedy peel between them: ``decision_bound``, the first three,
-whose partition bound stops once it is below the threshold, and
-``cut_bound``, the Menger cuts.
+The bounds give the solver its refutations without search: a threshold
+above a bound has no packing.  The solver takes them in two steps, with
+its greedy peel between them.  ``packing_upper_bound`` comes first: the
+least terminal degree, the partition bound of Nash-Williams and Tutte on
+the nearest-terminal partition after a local search
+(``_partition_bound``), and on the terminal stars (``_star_bound``),
+each stopping once the bound falls below the threshold.  ``cut_bound``,
+the least Menger edge cut from the first terminal, comes after the peel.
 
 ``_menger_flow`` is that cut's flow, run on the adjacency masks of the
 graph: edge-disjoint s-t paths, or internally disjoint ones, with no
@@ -146,29 +143,39 @@ def _menger_flow(
     return flow, succ
 
 
-def _flow_paths(succ: Sequence[int], s: int, t: int) -> list[list[int]]:
-    """The s-t paths of a flow from ``_menger_flow``, as vertex lists, one
-    for each unit leaving s, in the order of the vertex it goes to.  Each
-    path follows the lowest unit out of each vertex; where it comes back
-    to a vertex already on it, the loop is cut off, so the paths are
-    simple and pairwise edge-disjoint."""
+def _flow_paths(
+    succ: Sequence[int], inc: Sequence[int], s: int, t: int
+) -> list[tuple[int, int]]:
+    """The s-t paths of a flow from ``_menger_flow`` in the graph of the
+    incidence masks ``inc``, as (vertex mask, edge mask) pairs, one for
+    each unit leaving s, in the order of the vertex it goes to.  Each path
+    follows the lowest unit out of each vertex; where it comes back to a
+    vertex already on it, the loop is cut off, so the paths are simple and
+    pairwise edge-disjoint."""
     succ = list(succ)
     paths = []
     while succ[s]:
         path = [s]
+        steps = []  # the edge into each vertex of the path after s
         on = 1 << s
+        used = 0
         v = s
         while v != t:
             b = succ[v] & -succ[v]
             succ[v] ^= b
-            v = b.bit_length() - 1
-            if (on >> v) & 1:
-                while path[-1] != v:
+            w = b.bit_length() - 1
+            if on & b:
+                while path[-1] != w:
                     on ^= 1 << path.pop()
+                    used ^= steps.pop()
             else:
-                path.append(v)
-                on |= 1 << v
-        paths.append(path)
+                e = inc[v] & inc[w]
+                path.append(w)
+                steps.append(e)
+                on |= b
+                used |= e
+            v = w
+        paths.append((on, used))
     return paths
 
 
@@ -267,59 +274,39 @@ def _star_bound(g: Graph, terminals: Sequence[int], bound: int) -> int:
 
 
 def packing_upper_bound(
-    g: Graph, terminals: Sequence[int], limit: int | None = None
+    g: Graph, terminals: Sequence[int], cap: int | None = None
 ) -> int:
     """An upper bound on the number of pairwise edge-disjoint S-trees of g
     for the terminal tuple ``terminals`` (|S| >= 2), the least of:
 
+    - ``cap``, when it is set;
     - the least terminal degree, as each tree has its own edge at every
       terminal;
     - for |S| >= 3, the partition bound of ``_partition_bound``
       (Nash-Williams 1961; Tutte 1961) on the nearest-terminal partition
-      after a local search, then on the terminal stars of ``_star_bound``;
-    - the least edge cut between ``terminals[0]`` and each other terminal
-      (Menger), as each tree holds a path between the two.
+      after a local search, then on the terminal stars of ``_star_bound``.
 
     Internally disjoint S-trees are edge-disjoint as well, so the bound
     holds for kappa(S) as well as for lambda(S).
 
-    The bounds are tried in the order above, cheapest first, and each
-    flow stops augmenting at the running bound.  A bound below 2 is
-    returned at once: 0 and 1 differ only in whether the terminals are
-    connected, which the search checks first.  With ``limit`` set, the
-    result is at most ``limit`` and is returned as soon as a bound falls
-    below it, so it is below ``limit`` only when no packing of ``limit``
-    trees exists.  The partition bound's local search always runs to its
-    end, as a maximum starts its search from the bound.
+    The bounds are tried in the order above, cheapest first, and the
+    result is returned as soon as it falls below max(``cap``, 2), where
+    the partition's local search stops too.  Below 2, the values 0 and 1
+    differ only in whether the terminals are connected, which the solver
+    decides on its own; below ``cap``, no packing of ``cap`` trees exists.
+    So the result is below ``cap`` only when no such packing exists.
     """
-    bound = min(g.incident[t].bit_count() for t in terminals)
-    if limit is not None:
-        bound = min(bound, limit)
-    stop = 2 if limit is None else max(limit, 2)
+    inc = g.incident
+    bound = cap
+    for t in terminals:
+        d = inc[t].bit_count()
+        if bound is None or d < bound:
+            bound = d
+    stop = cap if cap is not None and cap > 2 else 2
+    if bound < stop or len(terminals) < 3:
+        return bound
+    bound = min(bound, _partition_bound(g, terminals, stop))
     if bound < stop:
-        return bound
-    if len(terminals) >= 3:
-        bound = min(bound, _partition_bound(g, terminals))
-        if bound < stop:
-            return bound
-        bound = _star_bound(g, terminals, bound)
-        if bound < stop:
-            return bound
-    return cut_bound(g, terminals, bound, stop)
-
-
-def decision_bound(g: Graph, terminals: Sequence[int], l: int) -> int:
-    """The bounds of ``packing_upper_bound`` without the Menger cuts, for
-    a decision at l >= 1: the least of l, the least terminal degree and,
-    for |S| >= 3, the partition bound and the star bound.  The partition
-    bound stops its local search once it falls below l.  The result is
-    below l only when no packing of l trees exists; below 2 it is
-    returned at once, as in ``packing_upper_bound``."""
-    bound = min(l, min(g.incident[t].bit_count() for t in terminals))
-    if bound < max(l, 2) or len(terminals) < 3:
-        return bound
-    bound = min(bound, _partition_bound(g, terminals, l))
-    if bound < l:
         return bound
     return _star_bound(g, terminals, bound)
 

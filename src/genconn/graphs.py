@@ -8,8 +8,9 @@ file serialization sorts it lexicographically.
 All types are immutable after construction, so any number of concurrent
 readers is safe.  ``Graph`` and the instance types are ``__slots__``
 classes on one value base, ``_Value``: each stores its sequence fields
-as tuples, whatever iterable it was given, validates its fields in
-``__init__``, and any later assignment or deletion raises AttributeError.
+as tuples, whatever iterable it was given, and ``ReductionOutput`` its
+role map as a read-only dict, validates its fields in ``__init__``, and
+any later assignment or deletion raises AttributeError.
 ``SteinerTree`` is a ``typing.NamedTuple``.  Neither needs
 ``dataclasses``, whose import would add about 6 ms to every start.
 Internally, vertex and edge subsets are manipulated as integer bitmasks
@@ -285,12 +286,31 @@ class CnfFormula(_Value):
         return len(self.clauses)
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every change after construction and hashes by
+    its items, so a record holding one stays an immutable value."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class ReductionOutput(_Value):
     """A transformed instance: graph, terminal set, threshold, provenance.
 
     ``gadget_map`` names each constructed vertex by its role in the
-    construction; roles are unique within one output, and it defaults to
-    a new empty map.  ``threshold`` is None for value-preserving
+    construction; roles are unique within one output.  It is stored as a
+    read-only copy of the map given, an empty one by default.  ``threshold`` is None for value-preserving
     constructions that carry no decision bound.
     """
 
@@ -308,8 +328,7 @@ class ReductionOutput(_Value):
         threshold: int | None = None,
         gadget_map: Mapping[int, str] | None = None,
     ) -> None:
-        if gadget_map is None:
-            gadget_map = {}
+        gadget_map = _FrozenDict(gadget_map or ())
         terminals = tuple(terminals)
         for t in terminals:
             if not (0 <= t < graph.n):

@@ -1,14 +1,51 @@
 """Exact solvers: generalized (edge-)connectivity, classical baselines,
 and brute-force deciders for the three source problems.
 
-The packing decision grows all l trees of a candidate packing at once in
-one search, ``_search_trees``, for both kinds of packing.  Each tree is a
-color.  Colors own *items* and share everything else, and a color's
-subgraph is the shared part plus its own items:
+Every packing question goes through one pipeline, ``_packing``: a
+decision at l asks for a packing of l trees, a maximum for a largest
+packing, and ``kappa_k`` and ``lambda_k`` decide each subset at the least
+value so far, computing a value (capped one below it) only for a subset
+below it.  The pipeline keeps a bracket [len(trees), hi] on the packing
+number, trees being a packing found so far, and runs these stages in
+order until one settles the question:
+
+1. bounds: ``bounds.packing_upper_bound``, the least terminal degree and,
+   with three or more terminals, the Nash-Williams and Tutte partition
+   bound on the nearest-terminal partition after a local search and on
+   the terminal stars;
+2. two terminals: by Menger, kappa({s, t}) is the number of internally
+   disjoint s-t paths, an edge st being one, and lambda({s, t}) the
+   number of edge-disjoint ones; ``bounds._menger_flow`` counts both on
+   the adjacency masks up to hi, and its paths are the packing;
+3. peel: ``_peel``, a greedy packing of shortest-path S-trees from each
+   terminal in turn, each over the items the earlier ones left, settles
+   the question where it reaches hi, and at hi = 1 always;
+4. cuts: ``bounds.cut_bound``, the least Menger edge cut from the first
+   terminal; it comes after the peel, as it seldom refutes where the
+   bounds do not and costs a flow per terminal;
+5. search: ``_search_trees`` at hi first for a decision and for an
+   edge-disjoint maximum, then climbing from len(trees) + 1 until a
+   search fails.  An internally disjoint maximum does not search at hi
+   first: the bounds count edges and miss the vertex cuts that hold
+   kappa below them.
+
+The witness of a maximum is the packing of the stage that settled it:
+the flow's paths, the peel's trees or the last search that succeeded.
+Each of its subgraphs is walked into an S-tree: the union of shortest
+paths from the first terminal to the others (``graphs._paths`` over the
+subgraph's edges), where every vertex on a path steps back by its lowest
+edge to the BFS layer before it, so every leaf is a terminal.  Subset
+minima build no trees.  Branch order is fixed, so values and witnesses
+are deterministic.
+
+The search grows all l trees of a candidate packing at once, for both
+kinds of packing.  Each tree is a color.  Colors own *items* and share
+everything else, and a color's subgraph is the shared part plus its own
+items:
 
 - internally disjoint packings (kappa): the items are the non-terminal
   vertices and the terminal-terminal edges; the terminals and all other
-  edges are shared;
+  edges are shared (``_kappa_items``, built once per question);
 - edge-disjoint packings (lambda): the items are the edges, and every
   vertex is shared.
 
@@ -29,56 +66,9 @@ still be able to connect the terminals through its own plus free items,
 which is walked again only once the color has lost an item of its
 *support*, the items on the paths that connected them at its last walk;
 and, for edge-disjoint packings, merging c components of a color takes at
-least c - 1 free edges.  A decision stops at the first packing of
-colors.  An edge-disjoint maximum searches first at the upper bound
-described below; only when that fails does it search at l = 2, 3, ...
-until a decision fails.  An internally disjoint maximum searches at the
-bound alone when the peel described below reaches it, and otherwise
-climbs from l = 2 to the bound, which counts edges and so can sit well
-above kappa at a vertex cut.  A maximum turns only the packing at the
-value into trees: each color's tree is the union of shortest paths from
-the first terminal to the others within its subgraph (``graphs._paths``
-over its edges), where every vertex on a path steps back by its lowest
-edge to the BFS layer before it, so every leaf is a terminal.  Branch
-order is fixed, so values and witnesses are deterministic, and the
-witness is that of the search at the value whichever way it was reached.
-``kappa_k`` and ``lambda_k`` decide each subset at the least value so
-far, compute a value only for a subset below it, and build no trees.  ``_search_trees`` describes how a node is
-computed: item masks, candidate masks, cached components and the branch
-order.
-
-Two terminals never reach the search.  By Menger, kappa({s, t}) is the
-number of internally disjoint s-t paths, an edge st being one, and
-lambda({s, t}) the number of edge-disjoint ones; ``bounds._menger_flow``
-counts both on the adjacency masks.  A maximum is the flow, and its
-witness is the flow's paths; a decision at l >= 2 checks the least
-terminal degree, then runs the flow until it reaches l; ``kappa_k`` and
-``lambda_k`` at k = 2 take each pair's flow up to the least value so far.
-
-With three or more terminals, before any search, four polynomial upper
-bounds on the packing number are tried, cheapest first: the least
-terminal degree, the Nash-Williams and Tutte partition bound on the
-nearest-terminal partition after a local search and on the terminal
-stars, and the least Menger edge cut from the first terminal.  A maximum
-takes their least from ``bounds.packing_upper_bound`` and never searches
-above it.  A decision at l is answered no when one of them falls below
-l, and takes them in two steps with the peel between:
-``bounds.decision_bound`` (degree, partition and stars, the partition's
-local search stopped once it falls below l), ``_peel``, and then
-``bounds.cut_bound`` (the Menger cuts).
-
-Where a search would run, ``_peel`` tries to answer yes: a greedy lower
-bound that, from each terminal in turn, takes shortest-path S-trees
-(``graphs._paths``) one after another, each over the items the earlier
-ones left.  A root whose open items number exactly the trees still to
-place is saturated: each tree holds one of them, so its walk keeps only
-the lowest and leaves the rest to later trees, and a root with l items
-from the start is peeled once with each as its first tree's.  A
-decision it reaches is answered yes without a search or a Menger cut.
-The peel builds no witness, so a maximum still takes its
-trees from the search at the value.  A kappa decision or maximum builds
-the shared part of its items (``_kappa_items``) once, for the peel and
-the searches.
+least c - 1 free edges.  A search stops at the first packing of colors.
+``_search_trees`` describes how a node is computed: item masks, candidate
+masks, cached components and the branch order.
 
 The search runs on an explicit stack of frames, one per node on the
 current path, so no function here recurses and a search may go as deep
@@ -100,16 +90,9 @@ from .graphs import (
     SteinerTree,
     ThreeDMInstance,
     _paths,
-    _reach,
     is_connected,
 )
-from .bounds import (
-    _flow_paths,
-    _menger_flow,
-    cut_bound,
-    decision_bound,
-    packing_upper_bound,
-)
+from .bounds import _flow_paths, _menger_flow, cut_bound, packing_upper_bound
 from .trees import _check_terminals, _mask_of
 
 SUBSET_GUARD_MAX_N = 16  # kappa_k/lambda_k refuse larger graphs without force
@@ -218,16 +201,19 @@ def _peel(
     l: int,
     vertex_mode: bool,
     items: tuple[list[int], int] | None = None,
-) -> int:
-    """A lower bound on the packing number, counted up to l: the most
-    S-trees that a greedy peel finds.  From each terminal in turn as the
-    root, it takes the ``_paths`` walk from the root to the other
-    terminals over the items that earlier trees left, and removes that
-    tree's items: its non-terminal vertices and terminal-terminal edges
-    (``vertex_mode``), or its edges.  The trees of one root are pairwise
-    disjoint in their items, so each count is a packing.  It stops at the
-    first root whose count reaches l.  In ``vertex_mode``, ``items`` may
-    hand in ``_kappa_items`` of g, when the caller has built it.
+) -> list[tuple[int, int]]:
+    """A packing of at most l trees that a greedy peel finds, as one
+    (vertex mask, edge mask) subgraph per tree, each holding an S-tree.
+    From each terminal in turn as the root, it takes the ``_paths`` walk
+    from the root to the other terminals over the items that earlier
+    trees left, and removes that tree's items: its non-terminal vertices
+    and terminal-terminal edges (``vertex_mode``), or its edges.  The
+    trees of one root are pairwise disjoint in their items, so each root
+    gives a packing; the first to reach l trees is returned, or else the
+    first of the largest.  A tree's subgraph is its vertices with its own
+    edge items and, in ``vertex_mode``, every shared edge.  In
+    ``vertex_mode``, ``items`` may hand in ``_kappa_items`` of g, when the
+    caller has built it.
 
     The root's items are its non-terminal neighbours and its
     terminal-terminal edges (``vertex_mode``), or its edges.  A root is
@@ -238,7 +224,9 @@ def _peel(
     items before edge items, and leaves the others to later trees.  A
     root with exactly l items from the start is peeled once per item,
     with that item as its first tree's.  This only chooses which trees
-    the peel takes; every count is still a packing."""
+    the peel takes; every count is still a packing.  At l = 1 no root
+    starts restricted, so the first root's walk covers the whole graph
+    and finds a tree exactly when the terminals are connected."""
     inc = g.incident
     edges = g.edges
     n = g.n
@@ -247,7 +235,8 @@ def _peel(
     else:
         base = [0] * n
         all_links = g.all_edges_mask
-    best = 0
+    shared_e = g.all_edges_mask & ~all_links
+    best: list[tuple[int, int]] = []
     for r in terminals:
         # the root's items as one mask: vertex x at bit x, edge j at n + j
         at_r = base[r] | ((inc[r] & all_links) << n)
@@ -257,23 +246,27 @@ def _peel(
         for first in firsts:
             vset = g.all_vertices_mask
             links = all_links
-            count = 0
-            while count < l:
+            trees = []
+            left = l  # the trees still to place
+            while left:
                 drop = 0
                 open_items = (base[r] & vset) | ((inc[r] & links) << n)
-                if open_items.bit_count() == l - count:
-                    drop = open_items ^ (open_items & -open_items if count else first)
+                if open_items.bit_count() == left:
+                    drop = open_items ^ (open_items & -open_items if trees else first)
                 found = _paths(
                     base, inc, edges, 1 << r, s_mask, vset & ~drop, links & ~(drop >> n)
                 )
                 if found is None:
                     break
-                count += 1
-                vset &= ~found[0] | s_mask
-                links &= ~found[1]
-            if count == l:
-                return count
-            best = max(best, count)
+                tv, te = found
+                trees.append((tv, te | shared_e))
+                vset &= ~tv | s_mask
+                links &= ~te
+                left -= 1
+            if not left:
+                return trees
+            if len(trees) > len(best):
+                best = trees
     return best
 
 
@@ -285,7 +278,7 @@ def _search_trees(
     vertex_mode: bool,
     items: tuple[list[int], int] | None = None,
 ) -> list[tuple[int, int]] | None:
-    """The (vertex mask, edge mask) subgraphs of l >= 2 colors, each
+    """The (vertex mask, edge mask) subgraphs of l >= 1 colors, each
     connecting the terminals, whose items are pairwise disjoint, or None.
     Each subgraph holds a minimal S-tree (the ``_paths`` walk over its
     edges, from the first terminal), and these trees are pairwise
@@ -504,83 +497,65 @@ def _search_trees(
             return None
 
 
-def _terminals_connected(g: Graph, terminals: Sequence[int], s_mask: int) -> bool:
-    """True iff the terminals lie in one component of g."""
-    reached = _reach(g.adjacency, 1 << terminals[0], g.all_vertices_mask)
-    return not s_mask & ~reached
-
-
-def _max_search(
-    g: Graph, terminals: Sequence[int], s_mask: int, ub: int, vertex_mode: bool
-) -> list[tuple[int, int]]:
-    """A maximum packing at the terminals, given an upper bound ub on its
-    size: one (vertex mask, edge mask) subgraph per tree.  A packing of
-    one tree, which no search decides, is the whole graph.
-
-    An edge-disjoint search runs at ub first, and only when that fails at
-    l = 2, 3, ... below ub until a decision fails; an internally disjoint
-    search runs at ub alone when ``_peel`` reaches ub there, and otherwise
-    at l = 2, 3, ... up to ub.  Either way the subgraphs are
-    those of ``_search_trees`` at the packing number, which is
-    deterministic."""
-    # A bound of 2 or more takes a Menger flow of 2 or more from the first
-    # terminal to each other one, so only a lower bound leaves open
-    # whether the terminals are connected; a bound of 0 says they are not.
-    if not ub or ub == 1 and not _terminals_connected(g, terminals, s_mask):
-        return []
-    witness = [(g.all_vertices_mask, g.all_edges_mask)]
-    if ub == 1:
-        return witness
-    # The bounds are edge bounds: close to lambda, but blind to the vertex
-    # cuts that hold kappa below them, where a search at ub would be one
-    # more refutation on top of the one at kappa + 1; so kappa searches at
-    # ub first only once a peel there has shown that it is the value.
-    if vertex_mode:
-        items = _kappa_items(g, terminals, s_mask)
-        at_ub = ub >= 3 and _peel(g, terminals, s_mask, ub, True, items) == ub
-    else:
-        items, at_ub = None, True
-    top = ub + 1
-    if at_ub:
-        found = _search_trees(g, s_mask, terminals, ub, vertex_mode, items)
-        if found is not None:
+def _packing(
+    g: Graph,
+    terminals: Sequence[int],
+    vertex_mode: bool,
+    need: int,
+    cap: int | None,
+) -> list[tuple[int, int]] | None:
+    """The (vertex mask, edge mask) subgraphs of a largest packing of at
+    most ``cap`` trees (of any size when ``cap`` is None), each holding an
+    S-tree, or None once the packing number is shown to be below
+    ``need``, which the callers set to 0 or to ``cap``.  The stages are
+    those of the module docstring, in its order; each narrows the bracket
+    [len(trees), hi] or settles the question."""
+    hi = packing_upper_bound(g, terminals, cap)
+    if hi < need:
+        return None
+    if len(terminals) == 2:
+        # Menger: the packing number is the flow value, and its paths
+        # are a packing
+        value, succ = _menger_flow(g.adjacency, *terminals, vertex_mode, hi)
+        return _flow_paths(succ, g.incident, *terminals) if value >= need else None
+    s_mask = _mask_of(terminals)
+    items = _kappa_items(g, terminals, s_mask) if vertex_mode else None
+    trees = _peel(g, terminals, s_mask, hi, vertex_mode, items)
+    if len(trees) == hi or hi == 1:
+        return trees if len(trees) >= need else None
+    # the cuts come after the peel: they seldom refute where the bounds
+    # before them do not, and cost a flow per terminal where the peel
+    # answers yes
+    hi = cut_bound(g, terminals, hi, max(need, 2))
+    if hi < need:
+        return None
+    if len(trees) == hi:
+        return trees
+    top = hi + 1
+    if need == hi or not vertex_mode:
+        found = _search_trees(g, s_mask, terminals, hi, vertex_mode, items)
+        if found is not None or need == hi:
             return found
-        top = ub
-    for l in range(2, top):
+        top = hi
+    for l in range(len(trees) + 1, top):
         found = _search_trees(g, s_mask, terminals, l, vertex_mode, items)
         if found is None:
             break
-        witness = found
-    return witness
+        trees = found
+    return trees
 
 
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
     terminals = _check_terminals(g, s)
-    inc = g.incident
-    if len(terminals) == 2:
-        # Menger: the packing number is the flow value, and its paths are
-        # a packing
-        succ = _menger_flow(g.adjacency, *terminals, vertex_mode)[1]
-        trees = []
-        for path in _flow_paths(succ, *terminals):
-            tv = 1 << path[0]
-            te = 0
-            for u, v in zip(path, path[1:]):
-                tv |= 1 << v
-                te |= inc[u] & inc[v]
-            trees.append((tv, te))
-    else:
-        s_mask = _mask_of(terminals)
-        ub = packing_upper_bound(g, terminals)
-        # With no base, every step is an edge of the color and each
-        # vertex on a path steps back by one edge: a tree whose leaves
-        # are all terminals
+    trees = _packing(g, terminals, vertex_mode, 0, None)
+    if len(terminals) > 2:
+        # With no base, every step is an edge of the tree's subgraph and
+        # each vertex on a path steps back by one edge: a tree whose
+        # leaves are all terminals
         base = [0] * g.n
         t0 = 1 << terminals[0]
-        trees = [
-            _paths(base, inc, g.edges, t0, s_mask, tv, te)
-            for tv, te in _max_search(g, terminals, s_mask, ub, vertex_mode)
-        ]
+        s_mask = _mask_of(terminals)
+        trees = [_paths(base, g.incident, g.edges, t0, s_mask, tv, te) for tv, te in trees]
     return PackingResult(
         len(trees), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )
@@ -589,29 +564,7 @@ def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult
 def _packing_decide(g: Graph, s: Iterable[int], l: int, vertex_mode: bool) -> bool:
     if l < 0:
         raise GraphError(f"negative threshold {l}")
-    terminals = _check_terminals(g, s)
-    if l == 0:
-        return True
-    if l >= 2 and len(terminals) == 2:
-        # Menger: the packing number is the flow value
-        s0, t = terminals
-        if min(g.incident[s0].bit_count(), g.incident[t].bit_count()) < l:
-            return False
-        return _menger_flow(g.adjacency, s0, t, vertex_mode, l)[0] == l
-    # the Menger cuts run after the peel: they seldom refute where the
-    # bounds before them do not, and cost a flow per terminal where the
-    # peel answers yes
-    if decision_bound(g, terminals, l) < l:
-        return False
-    s_mask = _mask_of(terminals)
-    if l == 1:
-        return _terminals_connected(g, terminals, s_mask)
-    items = _kappa_items(g, terminals, s_mask) if vertex_mode else None
-    if _peel(g, terminals, s_mask, l, vertex_mode, items) == l:
-        return True
-    if cut_bound(g, terminals, l, l) < l:
-        return False
-    return _search_trees(g, s_mask, terminals, l, vertex_mode, items) is not None
+    return _packing(g, _check_terminals(g, s), vertex_mode, l, l) is not None
 
 
 def kappa_set(g: Graph, s: Iterable[int]) -> PackingResult:
@@ -639,9 +592,8 @@ def decide_lambda_set(g: Graph, s: Iterable[int], l: int) -> bool:
 def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
     """The least packing number over the k-subsets S.  Each subset after
     the first is decided at the least value so far; only a subset below it
-    has its value computed, with one less than that value as its bound.
-    At k = 2 a pair's value is its Menger flow, stopped at the least value
-    so far.  No witness trees are built."""
+    has its value computed, capped one below that value.  No witness trees
+    are built."""
     if not (2 <= k <= g.n):
         raise GraphError(f"k={k} out of range 2..{g.n}")
     if g.n > SUBSET_GUARD_MAX_N and not force:
@@ -652,18 +604,10 @@ def _subset_min(g: Graph, k: int, vertex_mode: bool, force: bool) -> int:
     if not is_connected(g):
         return 0
     best = None
-    if k == 2:
-        adj = g.adjacency
-        for u, v in combinations(range(g.n), 2):
-            best = _menger_flow(adj, u, v, vertex_mode, best)[0]
-            if best <= 1:
-                break
-        return best
     for s in combinations(range(g.n), k):
-        if best is not None and _packing_decide(g, s, best, vertex_mode):
+        if best is not None and _packing(g, s, vertex_mode, best, best) is not None:
             continue
-        ub = packing_upper_bound(g, s, None if best is None else best - 1)
-        best = len(_max_search(g, s, _mask_of(s), ub, vertex_mode))
+        best = len(_packing(g, s, vertex_mode, 0, None if best is None else best - 1))
         if best <= 1:
             break  # connected graphs never go below 1
     return best

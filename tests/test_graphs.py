@@ -213,8 +213,7 @@ class TestRecordSemantics:
     def test_equality_and_hash(self, cls, a, b):
         x, y = cls(*a), cls(*a)
         assert x == y and not (x != y)
-        if cls.__name__ != "ReductionOutput":  # its gadget map is a dict
-            assert hash(x) == hash(y)
+        assert hash(x) == hash(y)
         for i in range(len(a)):
             changed = a[:i] + (b[i],) + a[i + 1:]
             assert cls(*changed) != x, cls._fields[i]
@@ -222,7 +221,10 @@ class TestRecordSemantics:
     def test_fields_are_read_only(self, cls, a, b):
         x = cls(*a)
         for name, value in zip(cls._fields, a):
-            assert getattr(x, name) is value
+            if name == "gadget_map":  # stored as a read-only copy
+                assert getattr(x, name) == value
+            else:
+                assert getattr(x, name) is value
             with pytest.raises(AttributeError):
                 setattr(x, name, value)
             with pytest.raises(AttributeError):
@@ -259,8 +261,7 @@ class TestSequenceFields:
             for name in cls._fields:
                 assert type(getattr(x, name)) is type(getattr(y, name)), (cls, name)
             assert x == y
-            if cls is not ReductionOutput:  # its gadget map is a dict
-                assert hash(x) == hash(y)
+            assert hash(x) == hash(y)
 
 
 class TestRecordDefaults:
@@ -278,6 +279,30 @@ class TestRecordDefaults:
         row = REDUCTIONS["R1"]
         short = Reduction(*tuple(row)[:9])
         assert (short.flags, short.label, short.needs, short.check) == ((), "l", (), None)
+
+    def test_gadget_map_is_a_read_only_copy(self):
+        from genconn.graphs import ReductionOutput
+
+        roles = {0: "u0", 1: "u1"}
+        out = ReductionOutput(Graph(2), (0, 1), 2, roles)
+        for change in (
+            lambda m: m.__setitem__(0, "x"),
+            lambda m: m.__delitem__(0),
+            lambda m: m.update({2: "u2"}),
+            lambda m: m.pop(0),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault(2, "u2"),
+            lambda m: m.clear(),
+        ):
+            with pytest.raises(TypeError):
+                change(out.gadget_map)
+        with pytest.raises(TypeError):
+            out.gadget_map[0] = "x"
+        roles[0] = "x"
+        assert out.gadget_map == {0: "u0", 1: "u1"}
+        same = ReductionOutput(Graph(2), (0, 1), 2, {1: "u1", 0: "u0"})
+        assert same == out and hash(same) == hash(out)
+        assert {out: 1}[same] == 1
 
     def test_as_the_benchmark_builds_them(self):
         from genconn.solver import PackingResult

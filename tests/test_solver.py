@@ -100,6 +100,14 @@ class TestLambdaSet:
         assert lambda_set(P3, (0, 2)).value == 1
 
 
+def _all_graphs(max_n: int):
+    """Every labeled graph on 2 to ``max_n`` vertices, connected or not."""
+    for n in range(2, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, tuple(p for i, p in enumerate(pairs) if (mask >> i) & 1))
+
+
 class TestDecide:
     def test_zero_threshold_always_true(self):
         assert decide_kappa_set(P3, (0, 2), 0)
@@ -114,16 +122,35 @@ class TestDecide:
             decide_kappa_set(K3, (0, 1), -1)
 
     def test_matches_max(self):
-        rng = random.Random(5)
-        pool = [g for g in gen_connected_graphs(4) if g.n == 4]
-        for g in rng.sample(pool, 10):
-            for s in combinations(range(4), 3):
-                kv = kappa_set(g, s).value
-                lv = lambda_set(g, s).value
-                for l in range(0, kv + 2):
-                    assert decide_kappa_set(g, s, l) == (l <= kv)
-                for l in range(0, lv + 2):
-                    assert decide_lambda_set(g, s, l) == (l <= lv)
+        # every labeled graph with n <= 4, connected or not, and every S:
+        # whether the terminals are connected is left to the peel and the
+        # search, so a decision at 1 must agree with the maximum too
+        for g in _all_graphs(4):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    for maximum, decide in (
+                        (kappa_set, decide_kappa_set),
+                        (lambda_set, decide_lambda_set),
+                    ):
+                        value = maximum(g, s).value
+                        for l in range(value + 2):
+                            assert decide(g, s, l) == (l <= value), (g.edges, s, l)
+
+    def test_search_at_one_is_connectivity(self):
+        # a search at 1 runs where the cuts bring the bound down to 1
+        # after a peel at 2 or more found no tree; it must find a tree
+        # exactly when the terminals are connected, on every labeled
+        # graph with n <= 5 and every S
+        for g in _all_graphs(5):
+            for size in range(2, g.n + 1):
+                for s in combinations(range(g.n), size):
+                    s_mask = sum(1 << t for t in s)
+                    connected = set(s) <= oracles.reachable(
+                        g, s[0], range(g.n), g.all_edges_mask
+                    )
+                    for vertex_mode in (True, False):
+                        found = solver._search_trees(g, s_mask, s, 1, vertex_mode)
+                        assert (found is not None) == connected, (g.edges, s, vertex_mode)
 
 
 class TestSubsetMinima:
@@ -187,21 +214,25 @@ def _forbidden(*args):
 
 class TestSearchOrder:
     def test_maximum_at_the_bound_searches_once(self, monkeypatch):
+        # a peel of three trees reaches the bound, so the maximum takes
+        # the peel's trees as its witness and runs no search
         calls = _count_searches(monkeypatch)
         res = lambda_set(K5, (0, 1, 2))
         assert res.value == 3
-        assert calls == [3]
+        assert calls == []
         assert verify_packing_result(K5, (0, 1, 2), res, vertex_mode=False)
 
     def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
         # bound 3 from the nearest-terminal partition, which no single
-        # move lowers; lambda = 2, from {0, 5}, {2} and {1, 3, 4}
+        # move lowers; lambda = 2, from {0, 5}, {2} and {1, 3, 4}.  The
+        # peel finds two trees, so once the search at 3 fails the
+        # witness is the peel's, with no search at 2
         g = Graph.from_edges(6, [
             (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4),
         ])
         calls = _count_searches(monkeypatch)
         res = lambda_set(g, (0, 2, 3))
-        assert calls == [3, 2]
+        assert calls == [3]
         assert res.value == 2
         assert verify_packing_result(g, (0, 2, 3), res, vertex_mode=False)
 
@@ -217,11 +248,11 @@ class TestSearchOrder:
         assert calls == [2]
         assert res.value == 1
         assert verify_packing_result(g, (1, 2, 5), res, vertex_mode=True)
-        # a peel of three trees in K5 shows that the bound is kappa, so
-        # kappa searches once, at the bound
+        # a peel of three trees in K5 shows that the bound is kappa, and
+        # its trees are the witness, so kappa does not search
         calls.clear()
         assert kappa_set(K5, (0, 1, 2)).value == 3
-        assert calls == [3]
+        assert calls == []
         calls.clear()
         assert lambda_set(g, (1, 2, 5)).value == 3
         assert calls == [3]
@@ -232,17 +263,17 @@ class TestSearchOrder:
         assert calls == []
 
     def test_subset_minima_decide_at_the_minimum(self, monkeypatch):
-        # K5 with k = 3: the first subset's value is searched for once, at
-        # its bound 3, which a peel has reached in kappa; every later
-        # subset is decided at 3 by a peel, with no search; with k = 2
-        # every pair is a Menger flow; no witness tree is built
+        # K5 with k = 3: a peel reaches the first subset's bound 3, and
+        # every later subset is decided at 3 by a peel, so nothing is
+        # searched; with k = 2 every pair is a Menger flow; no witness
+        # tree is built
         monkeypatch.setattr(SteinerTree, "from_masks", _forbidden)
         calls = _count_searches(monkeypatch)
         assert lambda_k(K5, 3) == 3
-        assert calls == [3]
+        assert calls == []
         calls.clear()
         assert kappa_k(K5, 3) == 3
-        assert calls == [3]
+        assert calls == []
         calls.clear()
         assert lambda_k(K5, 2) == 4
         assert kappa_k(K5, 2) == 4
@@ -356,7 +387,7 @@ class TestDeterminism:
                     ):
                         h.update(_result_repr(r))
         assert h.hexdigest() == (
-            "0b9da2bea316b0c144128979fa26816245345ab818101441ebb92912c84f991a"
+            "abe96aaec6419a541041353b8c48b7a6f7f7c57b980ac1511304704bd55514eb"
         )
 
     def test_witnesses_pinned_n5(self):
@@ -379,7 +410,7 @@ class TestDeterminism:
             "8fabc6a1d3fbb01aa28545e4d0208eb9235d1140542cc6c4764998596c7739e8"
         )
         assert h.hexdigest() == (
-            "79563e9186f1b4eae61e435b6f141d17909db71e571462d7610fbba1a8e77bdd"
+            "b62652c668a68aefdcce3831e640cf76efcf03888f52897a6ff06ab31a5fd8e1"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -395,7 +426,7 @@ class TestDeterminism:
                 assert _leaves_are_terminals(res, out.terminals), g.edges
                 h.update(_result_repr(res))
         assert h.hexdigest() == (
-            "16993d55febf0bc99deb2acf3b8cc94ef4ba61f067079f05644912f8f6f8ea00"
+            "7807a2657abbd2558483e657077d9e67cc823cf2ef4fbd1016bf674b20e23276"
         )
 
     def test_k6_lambda_witnesses_pinned(self):
@@ -676,7 +707,7 @@ class TestLayerOrder:
 
 class TestPackingUpperBound:
     def test_bounds_the_oracle_n4(self):
-        # with a limit the result is at most the limit and still bounds
+        # with a cap the result is at most the cap and still bounds
         # every packing below it
         for g in gen_connected_graphs(4):
             for size in range(2, g.n + 1):
@@ -686,8 +717,6 @@ class TestPackingUpperBound:
                     for l in range(1, 5):
                         u = packing_upper_bound(g, s, l)
                         assert min(best, l) <= u <= l, (g.edges, s, l)
-                        d = bounds.decision_bound(g, s, l)
-                        assert max(min(best, l), u) <= d <= l, (g.edges, s, l)
 
     def test_worst_r6_instance_refuted_without_search(self, monkeypatch):
         # K4 minus an edge, S = V, lifted to l = 4: every proxy has degree 4
@@ -731,8 +760,8 @@ class TestPackingUpperBound:
         # r7-medium-k4-1 of the solve pool: the least degree, the
         # nearest-terminal partition (9 cross edges), the stars and the
         # Menger cuts all give 3; moving vertex 2 to vertex 4's part
-        # leaves 8 cross edges between 4 parts, so lambda = 2 needs one
-        # search and 3 none
+        # leaves 8 cross edges between 4 parts, so a peel of two trees
+        # settles lambda = 2, and neither 2 nor 3 needs a search
         g = Graph.from_edges(7, [
             (4, 5), (0, 5), (2, 4), (2, 3), (1, 6), (5, 6), (3, 6), (2, 6), (1, 4),
             (3, 4), (2, 5), (1, 2),
@@ -742,7 +771,7 @@ class TestPackingUpperBound:
         calls = _count_searches(monkeypatch)
         res = lambda_set(g, s)
         assert res.value == 2
-        assert calls == [2]
+        assert calls == []
         assert verify_packing_result(g, s, res, vertex_mode=False)
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert not decide_lambda_set(g, s, 3)
@@ -814,13 +843,15 @@ class TestStarBound:
 
 class TestPeel:
     def test_never_exceeds_the_oracle(self):
-        # every count is a packing: on every n <= 4 set and a sample of
-        # n = 5 sets of three or more terminals, at each l up to the least
-        # terminal degree
+        # the trees are a packing of terminal-leaved S-trees, as a maximum
+        # takes them for its witness: on every n <= 4 set, connected or
+        # not, and a sample of n = 5 sets of three or more terminals, at
+        # each l up to the least terminal degree; at l = 1 the peel finds
+        # a tree exactly when the terminals are connected
         rng = random.Random(15)
         cases = [
             (g, s)
-            for g in gen_connected_graphs(4)
+            for g in _all_graphs(4)
             for size in range(2, g.n + 1)
             for s in combinations(range(g.n), size)
         ]
@@ -837,9 +868,19 @@ class TestPeel:
             top = min(g.incident[t].bit_count() for t in s)
             for mode, vertex_mode in (("vertex", True), ("edge", False)):
                 best = oracles.max_packing(g, s, mode, trees)
+                assert bool(solver._peel(g, s, s_mask, 1, vertex_mode)) == (best >= 1)
                 for l in range(1, top + 1):
                     got = solver._peel(g, s, s_mask, l, vertex_mode)
-                    assert got <= min(l, best), (g.edges, s, mode, l)
+                    assert len(got) <= min(l, best), (g.edges, s, mode, l)
+                    res = solver.PackingResult(len(got), tuple(
+                        SteinerTree.from_masks(g, *_paths(
+                            [0] * g.n, g.incident, g.edges, 1 << s[0], s_mask, tv, te
+                        ))
+                        for tv, te in got
+                    ))
+                    assert verify_packing_result(g, s, res, vertex_mode=vertex_mode), (
+                        g.edges, s, mode, l)
+                    assert _leaves_are_terminals(res, s), (g.edges, s, mode, l)
 
     def test_decides_without_a_search(self, monkeypatch):
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
@@ -865,8 +906,8 @@ class TestPeel:
             Graph(6, ((0, 3), (0, 4), (1, 2), (2, 4)), (0, 0, 1, 1, 2, 2)), 2
         ).graph
         s = (6, 7, 8)
-        assert bounds.decision_bound(g, s, 2) == 2
-        assert solver._peel(g, s, sum(1 << t for t in s), 2, True) == 1
+        assert packing_upper_bound(g, s, 2) == 2
+        assert len(solver._peel(g, s, sum(1 << t for t in s), 2, True)) == 1
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert not decide_kappa_set(g, s, 2)
         assert not decide_lambda_set(g, s, 2)
@@ -880,8 +921,8 @@ class TestPeel:
         ).graph
         s = (6, 7, 8)
         s_mask = sum(1 << t for t in s)
-        assert solver._peel(g, s, s_mask, 2, True) == 2
-        assert solver._peel(g, s, s_mask, 2, False) == 2
+        assert len(solver._peel(g, s, s_mask, 2, True)) == 2
+        assert len(solver._peel(g, s, s_mask, 2, False)) == 2
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert decide_kappa_set(g, s, 2)
         assert decide_lambda_set(g, s, 2)
@@ -981,7 +1022,7 @@ class TestCircularLadder:
     # ladder at which a recursive search failed in both modes
     @pytest.mark.parametrize("decide", [decide_kappa_set, decide_lambda_set])
     def test_search_deeper_than_the_recursion_limit(self, decide, monkeypatch):
-        monkeypatch.setattr(solver, "_peel", lambda *args: 0)
+        monkeypatch.setattr(solver, "_peel", lambda *args: [])
         assert decide(_circular_ladder(600), (0, 200, 400), 2)
 
 
