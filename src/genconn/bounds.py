@@ -291,10 +291,10 @@ def packing_upper_bound(
 
     The bounds are tried in the order above, cheapest first, and the
     result is returned as soon as it falls below max(``cap``, 2), where
-    the partition's local search stops too.  Below 2, the values 0 and 1
+    the partition's local search stops too: below 2, the values 0 and 1
     differ only in whether the terminals are connected, which the solver
-    decides on its own; below ``cap``, no packing of ``cap`` trees exists.
-    So the result is below ``cap`` only when no such packing exists.
+    decides on its own, and a result below ``cap`` already shows that no
+    packing of ``cap`` trees exists.
     """
     inc = g.incident
     bound = cap

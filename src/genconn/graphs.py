@@ -310,8 +310,9 @@ class ReductionOutput(_Value):
 
     ``gadget_map`` names each constructed vertex by its role in the
     construction; roles are unique within one output.  It is stored as a
-    read-only copy of the map given, an empty one by default.  ``threshold`` is None for value-preserving
-    constructions that carry no decision bound.
+    read-only copy of the map given, an empty one by default.
+    ``threshold`` is None for value-preserving constructions that carry no
+    decision bound.
     """
 
     __slots__ = _fields = ("graph", "terminals", "threshold", "gadget_map")

@@ -521,7 +521,7 @@ def _packing(
     s_mask = _mask_of(terminals)
     items = _kappa_items(g, terminals, s_mask) if vertex_mode else None
     trees = _peel(g, terminals, s_mask, hi, vertex_mode, items)
-    if len(trees) == hi or hi == 1:
+    if len(trees) == hi or hi == 1:  # at 1 the peel walks the whole graph
         return trees if len(trees) >= need else None
     # the cuts come after the peel: they seldom refute where the bounds
     # before them do not, and cost a flow per terminal where the peel
