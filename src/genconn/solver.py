@@ -38,21 +38,25 @@ edge to the BFS layer before it, so every leaf is a terminal.  Subset
 minima build no trees.  Branch order is fixed, so values and witnesses
 are deterministic.
 
-The search grows all l trees of a candidate packing at once, for both
-kinds of packing.  Each tree is a color.  Colors own *items* and share
-everything else, and a color's subgraph is the shared part plus its own
-items:
+The peel and the search both build trees as colors.  Colors own *items*
+and share everything else, and a color's subgraph is the shared part plus
+its own items.  One item model, ``_items``, built once per question for
+both kinds of packing, says which are which:
 
 - internally disjoint packings (kappa): the items are the non-terminal
   vertices and the terminal-terminal edges; the terminals and all other
-  edges are shared (``_kappa_items``, built once per question);
+  edges are shared;
 - edge-disjoint packings (lambda): the items are the edges, and every
   vertex is shared.
 
 Both kinds walk a color's subgraph the same way: ``base``, the vertex
 adjacency of the shared edges (all zeros for lambda), plus ``links``, the
 edge items the color owns or may still take.  One path walk,
-``graphs._paths``, and one BFS-layer order, ``_layer_order``, serve both.
+``graphs._paths``, and one conversion of colors to subgraphs,
+``_subgraphs``, serve both kinds in the peel and in the search, and one
+BFS-layer order, ``_layer_order``, serves both kinds in the search.  The
+peel takes one color at a time; the search grows all l colors of a
+candidate packing at once.
 
 A color is satisfied once its subgraph connects the terminals.  The search
 repeatedly picks the first unsatisfied color and branches over which free
@@ -171,16 +175,32 @@ def _layer_order(
     return order
 
 
-def _kappa_items(
-    g: Graph, terminals: Sequence[int], s_mask: int
-) -> tuple[list[int], int]:
-    """The shared part of an internally disjoint packing: ``base``, the
-    vertex adjacency without terminal-terminal pairs, so that every shared
-    edge has a non-terminal endpoint, and the mask of the
-    terminal-terminal edges, which are items."""
+def _items(
+    g: Graph, terminals: Sequence[int], vertex_mode: bool
+) -> tuple[int, list[int], int, int, int, list[int]]:
+    """The item model of a packing question, built once per question for
+    the peel and the searches: (s_mask, base, off, vert_items, edge_items,
+    attach).  An item mask holds vertex x at bit x and edge j at bit
+    ``off + j``; ``vert_items`` and ``edge_items`` are the vertex and edge
+    masks of the items, and the rest of the graph is shared.  A color's
+    subgraph is the shared vertices plus its vertex items, walked along
+    ``base``, the vertex adjacency of the shared edges, and its edge items.
+    ``attach[i]`` is the item mask of the items at ``terminals[i]``.
+
+    - internally disjoint (``vertex_mode``): the items are the
+      non-terminal vertices and the terminal-terminal edges, ``off`` is n
+      and ``base`` the adjacency without terminal-terminal pairs, so that
+      every shared edge has a non-terminal endpoint;
+    - edge-disjoint: the items are the edges, ``off`` is 0, every vertex is
+      shared and ``base`` is all zeros, so an item mask is an edge mask."""
+    s_mask = _mask_of(terminals)
     inc = g.incident
+    adj = g.adjacency
+    if not vertex_mode:
+        return s_mask, [0] * g.n, 0, 0, g.all_edges_mask, [inc[t] for t in terminals]
     edges = g.edges
-    base = list(g.adjacency)
+    base = list(adj)
+    vert_items = g.all_vertices_mask & ~s_mask
     edge_items = 0
     for t in terminals:
         base[t] &= ~s_mask
@@ -191,110 +211,99 @@ def _kappa_items(
             u, v = edges[b.bit_length() - 1]
             if (s_mask >> u) & 1 and (s_mask >> v) & 1:
                 edge_items |= b
-    return base, edge_items
+    off = g.n
+    attach = [(adj[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals]
+    return s_mask, base, off, vert_items, edge_items, attach
+
+
+def _subgraphs(
+    g: Graph, items: tuple, colors: Iterable[int]
+) -> list[tuple[int, int]]:
+    """The (vertex mask, edge mask) subgraph of each color item mask: the
+    shared part of the ``_items`` model plus the color's own items."""
+    _, _, off, vert_items, edge_items, _ = items
+    shared_v = g.all_vertices_mask & ~vert_items
+    shared_e = g.all_edges_mask & ~edge_items
+    vbits = (1 << off) - 1
+    return [(shared_v | (c & vbits), shared_e | (c >> off)) for c in colors]
 
 
 def _peel(
-    g: Graph,
-    terminals: Sequence[int],
-    s_mask: int,
-    l: int,
-    vertex_mode: bool,
-    items: tuple[list[int], int] | None = None,
+    g: Graph, terminals: Sequence[int], l: int, items: tuple
 ) -> list[tuple[int, int]]:
     """A packing of at most l trees that a greedy peel finds, as one
     (vertex mask, edge mask) subgraph per tree, each holding an S-tree.
-    From each terminal in turn as the root, it takes the ``_paths`` walk
-    from the root to the other terminals over the items that earlier
-    trees left, and removes that tree's items: its non-terminal vertices
-    and terminal-terminal edges (``vertex_mode``), or its edges.  The
-    trees of one root are pairwise disjoint in their items, so each root
-    gives a packing; the first to reach l trees is returned, or else the
-    first of the largest.  A tree's subgraph is its vertices with its own
-    edge items and, in ``vertex_mode``, every shared edge.  In
-    ``vertex_mode``, ``items`` may hand in ``_kappa_items`` of g, when the
-    caller has built it.
+    It works on the item masks of ``items``, the question's ``_items``
+    model, as the search does.  From each terminal in turn as the root, it
+    takes the ``_paths`` walk from the root to the other terminals over
+    the shared part and the items that earlier trees left, and the tree
+    takes the items on its paths: its non-terminal vertices and
+    terminal-terminal edges (internally disjoint), or its edges, every
+    vertex being shared (edge-disjoint).  The trees of one root are
+    pairwise disjoint in their items, so each root gives a packing; the
+    first to reach l trees is returned, or else the first of the largest.
 
-    The root's items are its non-terminal neighbours and its
-    terminal-terminal edges (``vertex_mode``), or its edges.  A root is
-    saturated when its open items number exactly the trees still to
-    place: each of those trees needs one of them, so each can have only
-    one, and a tree that took two would leave a later tree none.  So the
-    walk of a saturated root keeps only its lowest open item, vertex
-    items before edge items, and leaves the others to later trees.  A
-    root with exactly l items from the start is peeled once per item,
-    with that item as its first tree's.  This only chooses which trees
-    the peel takes; every count is still a packing.  At l = 1 no root
-    starts restricted, so the first root's walk covers the whole graph
-    and finds a tree exactly when the terminals are connected."""
+    The root's items are its ``attach`` mask.  A root is saturated when
+    its open items number exactly the trees still to place: each of those
+    trees needs one of them, so each can have only one, and a tree that
+    took two would leave a later tree none.  So the walk of a saturated
+    root keeps only its lowest open item, vertex items before edge items,
+    and leaves the others to later trees.  A root with exactly l items
+    from the start is peeled once per item, with that item as its first
+    tree's.  This only chooses which trees the peel takes; every count is
+    still a packing.  At l = 1 no root starts restricted, so the first
+    root's walk covers the whole graph and finds a tree exactly when the
+    terminals are connected."""
+    s_mask, base, off, vert_items, edge_items, attach = items
     inc = g.incident
     edges = g.edges
-    n = g.n
-    if vertex_mode:
-        base, all_links = items or _kappa_items(g, terminals, s_mask)
-    else:
-        base = [0] * n
-        all_links = g.all_edges_mask
-    shared_e = g.all_edges_mask & ~all_links
-    best: list[tuple[int, int]] = []
-    for r in terminals:
-        # the root's items as one mask: vertex x at bit x, edge j at n + j
-        at_r = base[r] | ((inc[r] & all_links) << n)
+    shared_v = g.all_vertices_mask & ~vert_items
+    vbits = (1 << off) - 1
+    best: list[int] = []
+    for r, at_r in zip(terminals, attach):
         firsts = [0]
         if at_r.bit_count() == l:
             firsts = [1 << x for x in range(at_r.bit_length()) if (at_r >> x) & 1]
         for first in firsts:
-            vset = g.all_vertices_mask
-            links = all_links
+            free = vert_items | (edge_items << off)
             trees = []
-            left = l  # the trees still to place
-            while left:
-                drop = 0
-                open_items = (base[r] & vset) | ((inc[r] & links) << n)
-                if open_items.bit_count() == left:
-                    drop = open_items ^ (open_items & -open_items if trees else first)
+            while len(trees) < l:
+                own = free
+                open_items = at_r & free
+                if open_items.bit_count() == l - len(trees):
+                    own ^= open_items ^ (open_items & -open_items if trees else first)
                 found = _paths(
-                    base, inc, edges, 1 << r, s_mask, vset & ~drop, links & ~(drop >> n)
+                    base, inc, edges, 1 << r, s_mask, shared_v | (own & vbits), own >> off
                 )
                 if found is None:
                     break
-                tv, te = found
-                trees.append((tv, te | shared_e))
-                vset &= ~tv | s_mask
-                links &= ~te
-                left -= 1
-            if not left:
-                return trees
+                c = (found[0] & vert_items) | (found[1] << off)
+                trees.append(c)
+                free ^= c
+            if len(trees) == l:
+                return _subgraphs(g, items, trees)
             if len(trees) > len(best):
                 best = trees
-    return best
+    return _subgraphs(g, items, best)
 
 
 def _search_trees(
-    g: Graph,
-    s_mask: int,
-    terminals: Sequence[int],
-    l: int,
-    vertex_mode: bool,
-    items: tuple[list[int], int] | None = None,
+    g: Graph, terminals: Sequence[int], l: int, items: tuple
 ) -> list[tuple[int, int]] | None:
     """The (vertex mask, edge mask) subgraphs of l >= 1 colors, each
     connecting the terminals, whose items are pairwise disjoint, or None.
     Each subgraph holds a minimal S-tree (the ``_paths`` walk over its
     edges, from the first terminal), and these trees are pairwise
-    internally disjoint (``vertex_mode``) or edge-disjoint.
+    internally disjoint or edge-disjoint, as ``items``, the question's
+    ``_items`` model, says.
 
-    Colors own items and share the rest.  An item mask holds vertex x at
-    bit x and edge j at bit ``off + j``; ``off`` is n in vertex mode and 0
-    in edge mode, where no vertex is an item and an item mask is an edge
-    mask.  Both modes describe a color's subgraph the same way: the
-    vertices it may use (the shared ones plus its own and the open vertex
-    items), ``base``, the vertex adjacency of the shared edges, and
-    ``links``, the edge items it owns or may still take.  ``base`` is the
-    adjacency without terminal-terminal pairs in vertex mode, where every
-    shared edge has a non-terminal endpoint, and all zeros in edge mode,
-    where no edge is shared; in vertex mode, ``items`` may hand in
-    ``_kappa_items`` of g.  The branch order comes from ``_layer_order``.
+    Colors own items and share the rest.  A color's subgraph is walked
+    over the vertices it may use (the shared ones plus its own and the
+    open vertex items), ``base``, and ``links``, the edge items it owns or
+    may still take.  With no vertex items (``off`` = 0, edge-disjoint) a
+    merge of c components takes c - 1 free edges, which prunes; with
+    them, one vertex can merge many.  The branch order comes from
+    ``_layer_order``.
 
     The reachability prune keeps each color's support: an item mask that,
     with the shared part, connects the color's terminals.  Every color
@@ -325,31 +334,14 @@ def _search_trees(
     node's depth is the number of items the colors hold, so it is bounded
     by memory and not by Python's recursion limit.
     """
+    s_mask, base, off, vert_items, edge_items, attach = items
     inc = g.incident
     edges = g.edges
     adj = g.adjacency
-    vmask = g.all_vertices_mask
-    emask = g.all_edges_mask
     t0 = terminals[0]
-    if vertex_mode:
-        # Items: the non-terminal vertices and the terminal-terminal edges.
-        base, edge_items = items or _kappa_items(g, terminals, s_mask)
-        off = g.n
-        vert_items = vmask & ~s_mask
-        shared_v = s_mask
-        attach = [
-            (adj[t] & vert_items) | ((inc[t] & edge_items) << off) for t in terminals
-        ]
-    else:
-        # Items: the edges; every vertex and no edge is shared.
-        base = [0] * g.n
-        edge_items = emask
-        off = 0
-        vert_items = 0
-        shared_v = vmask
-        attach = [inc[t] for t in terminals]
-    shared_e = emask & ~edge_items
+    shared_v = g.all_vertices_mask & ~vert_items
     vbits = (1 << off) - 1
+    edge_mode = not off  # no vertex is an item
 
     color = [0] * l
     ban = [0] * l
@@ -416,11 +408,11 @@ def _search_trees(
             needed += n_comps - 1
             if target == -1:
                 target = i
-                if vertex_mode:
+                if not edge_mode:
                     break  # one vertex can merge many components
         if target == -1:
-            return [(shared_v | (c & vbits), shared_e | (c >> off)) for c in color]
-        if not vertex_mode and needed > free.bit_count():
+            return _subgraphs(g, items, color)
+        if edge_mode and needed > free.bit_count():
             return None
         target_k = 0
         cands = 0
@@ -518,9 +510,8 @@ def _packing(
         # are a packing
         value, succ = _menger_flow(g.adjacency, *terminals, vertex_mode, hi)
         return _flow_paths(succ, g.incident, *terminals) if value >= need else None
-    s_mask = _mask_of(terminals)
-    items = _kappa_items(g, terminals, s_mask) if vertex_mode else None
-    trees = _peel(g, terminals, s_mask, hi, vertex_mode, items)
+    items = _items(g, terminals, vertex_mode)
+    trees = _peel(g, terminals, hi, items)
     if len(trees) == hi or hi == 1:  # at 1 the peel walks the whole graph
         return trees if len(trees) >= need else None
     # the cuts come after the peel: they seldom refute where the bounds
@@ -533,12 +524,12 @@ def _packing(
         return trees
     top = hi + 1
     if need == hi or not vertex_mode:
-        found = _search_trees(g, s_mask, terminals, hi, vertex_mode, items)
+        found = _search_trees(g, terminals, hi, items)
         if found is not None or need == hi:
             return found
         top = hi
     for l in range(len(trees) + 1, top):
-        found = _search_trees(g, s_mask, terminals, l, vertex_mode, items)
+        found = _search_trees(g, terminals, l, items)
         if found is None:
             break
         trees = found

@@ -144,12 +144,12 @@ class TestDecide:
         for g in _all_graphs(5):
             for size in range(2, g.n + 1):
                 for s in combinations(range(g.n), size):
-                    s_mask = sum(1 << t for t in s)
                     connected = set(s) <= oracles.reachable(
                         g, s[0], range(g.n), g.all_edges_mask
                     )
                     for vertex_mode in (True, False):
-                        found = solver._search_trees(g, s_mask, s, 1, vertex_mode)
+                        items = solver._items(g, s, vertex_mode)
+                        found = solver._search_trees(g, s, 1, items)
                         assert (found is not None) == connected, (g.edges, s, vertex_mode)
 
 
@@ -200,9 +200,9 @@ def _count_searches(monkeypatch) -> list[int]:
     calls = []
     search = solver._search_trees
 
-    def counted(g, s_mask, terminals, l, *rest):
+    def counted(g, terminals, l, items):
         calls.append(l)
-        return search(g, s_mask, terminals, l, *rest)
+        return search(g, terminals, l, items)
 
     monkeypatch.setattr(solver, "_search_trees", counted)
     return calls
@@ -253,9 +253,11 @@ class TestSearchOrder:
         calls.clear()
         assert kappa_set(K5, (0, 1, 2)).value == 3
         assert calls == []
+        # edge-disjoint trees share vertex 0, so a peel of three trees
+        # reaches lambda's bound and nothing is searched
         calls.clear()
         assert lambda_set(g, (1, 2, 5)).value == 3
-        assert calls == [3]
+        assert calls == []
         # with two terminals the vertex flow sees the cut vertex
         calls.clear()
         assert kappa_set(g, (1, 5)).value == 1
@@ -410,7 +412,7 @@ class TestDeterminism:
             "8fabc6a1d3fbb01aa28545e4d0208eb9235d1140542cc6c4764998596c7739e8"
         )
         assert h.hexdigest() == (
-            "b62652c668a68aefdcce3831e640cf76efcf03888f52897a6ff06ab31a5fd8e1"
+            "b1d2f7b93a0a92637e28056e95df860bfd378620cafbc33aebd7873d50efbb92"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -638,7 +640,8 @@ class TestSearchGarbage:
         gc.collect()
         gc.disable()
         try:
-            assert solver._search_trees(K5, 0b111, (0, 1, 2), 2, True) is not None
+            items = solver._items(K5, (0, 1, 2), True)
+            assert solver._search_trees(K5, (0, 1, 2), 2, items) is not None
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -868,9 +871,10 @@ class TestPeel:
             top = min(g.incident[t].bit_count() for t in s)
             for mode, vertex_mode in (("vertex", True), ("edge", False)):
                 best = oracles.max_packing(g, s, mode, trees)
-                assert bool(solver._peel(g, s, s_mask, 1, vertex_mode)) == (best >= 1)
+                items = solver._items(g, s, vertex_mode)
+                assert bool(solver._peel(g, s, 1, items)) == (best >= 1)
                 for l in range(1, top + 1):
-                    got = solver._peel(g, s, s_mask, l, vertex_mode)
+                    got = solver._peel(g, s, l, items)
                     assert len(got) <= min(l, best), (g.edges, s, mode, l)
                     res = solver.PackingResult(len(got), tuple(
                         SteinerTree.from_masks(g, *_paths(
@@ -907,7 +911,7 @@ class TestPeel:
         ).graph
         s = (6, 7, 8)
         assert packing_upper_bound(g, s, 2) == 2
-        assert len(solver._peel(g, s, sum(1 << t for t in s), 2, True)) == 1
+        assert len(solver._peel(g, s, 2, solver._items(g, s, True))) == 1
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert not decide_kappa_set(g, s, 2)
         assert not decide_lambda_set(g, s, 2)
@@ -920,12 +924,28 @@ class TestPeel:
             Graph(6, ((0, 3), (0, 5), (1, 2), (2, 4)), (0, 0, 1, 1, 2, 2)), 2
         ).graph
         s = (6, 7, 8)
-        s_mask = sum(1 << t for t in s)
-        assert len(solver._peel(g, s, s_mask, 2, True)) == 2
-        assert len(solver._peel(g, s, s_mask, 2, False)) == 2
+        assert len(solver._peel(g, s, 2, solver._items(g, s, True))) == 2
+        assert len(solver._peel(g, s, 2, solver._items(g, s, False))) == 2
         monkeypatch.setattr(solver, "_search_trees", _forbidden)
         assert decide_kappa_set(g, s, 2)
         assert decide_lambda_set(g, s, 2)
+
+    def test_edge_disjoint_trees_share_vertices(self, monkeypatch):
+        # the edge-disjoint peel takes only a tree's edges: its vertices
+        # stay open to later trees.  Here three trees share vertex 4, and
+        # a peel that also took the vertices found two
+        g = Graph(7, (
+            (0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4),
+            (3, 5), (4, 5), (4, 6),
+        ))
+        s = (2, 3, 5)
+        assert len(solver._peel(g, s, 3, solver._items(g, s, False))) == 3
+        calls = _count_searches(monkeypatch)
+        res = lambda_set(g, s)
+        assert res.value == 3
+        assert verify_packing_result(g, s, res, vertex_mode=False)
+        assert decide_lambda_set(g, s, 3)
+        assert calls == []
 
     def test_r2_searches_only_refutations(self, monkeypatch):
         # every R2 "yes" at q <= 2 is answered by the peel; the searches
@@ -943,6 +963,15 @@ class TestPeel:
         assert report.passed
         assert len(found) == 328
         assert not any(found)
+
+    def test_r6_peels_shared_vertices(self, monkeypatch):
+        # the lambda peel leaves a tree's vertices to later trees, so all
+        # but two of the R6 decisions at l = 3 on n <= 4 are settled
+        # without a search (30 searches when the peel took vertices too)
+        calls = _count_searches(monkeypatch)
+        report = verify_reduction("R6", VerifyBudget(max_n=4, ls=(3,)))
+        assert report.passed
+        assert len(calls) == 2
 
 
 class TestLongCycle:
