@@ -53,22 +53,21 @@ Both kinds walk a color's subgraph the same way: ``base``, the vertex
 adjacency of the shared edges (all zeros for lambda), plus ``links``, the
 edge items the color owns or may still take.  One path walk,
 ``graphs._paths``, and one conversion of colors to subgraphs,
-``_subgraphs``, serve both kinds in the peel and in the search, and one
-BFS-layer order, ``_layer_order``, serves both kinds in the search.  The
-peel takes one color at a time; the search grows all l colors of a
-candidate packing at once.
+``_subgraphs``, serve both kinds in the peel and in the search.  The peel
+takes one color at a time; the search grows all l colors of a candidate
+packing at once.
 
 A color is satisfied once its subgraph connects the terminals.  The search
 repeatedly picks the first unsatisfied color and branches over which free
-item attaches to its most constrained terminal component, trying items
-closer to a missing terminal first; a tried item is banned from that color
-in the remaining branches, which makes the enumeration exhaustive without
-duplicates; a component with one candidate takes it without ordering.
+item attaches to its most constrained terminal component, trying first
+the items of the color's *support* (below), then the rest, each group in
+id order; a tried item is banned from that color in the remaining
+branches, which makes the enumeration exhaustive without duplicates.
 Prunes: every color still needs a private item at every terminal
 (counting argument on the free items attachable there); every color must
 still be able to connect the terminals through its own plus free items,
 which is walked again only once the color has lost an item of its
-*support*, the items on the paths that connected them at its last walk;
+support, the items on the paths that connected them at its last walk;
 and, for edge-disjoint packings, merging c components of a color takes at
 least c - 1 free edges.  A search stops at the first packing of colors.
 ``_search_trees`` describes how a node is computed: item masks, candidate
@@ -77,9 +76,9 @@ masks, cached components and the branch order.
 The search runs on an explicit stack of frames, one per node on the
 current path, so no function here recurses and a search may go as deep
 as memory allows.  It takes the graph as it is: a run of degree-2
-non-terminals is searched one item at a time, and each of its nodes
-orders its candidates by a walk that can cross the whole run, so a long
-run costs time quadratic in its length.
+non-terminals is searched one item at a time, and each of its nodes finds
+its candidates by an OR over the growing component, which can hold the
+whole run, so a long run costs time quadratic in its length.
 """
 
 from __future__ import annotations
@@ -116,63 +115,6 @@ class PackingResult(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Packing search
-
-
-def _layer_order(
-    base: Sequence[int],
-    inc: Sequence[int],
-    edges: Sequence[tuple[int, int]],
-    off: int,
-    start: int,
-    through: int,
-    links: int,
-    cands: int,
-) -> list[int]:
-    """The item ids set in ``cands`` (vertex x at bit x, edge j at bit
-    ``off + j``, each edge also set in ``links``) in BFS-layer order.  The
-    walk is that of ``graphs._paths``, from the vertices ``start`` through
-    the vertices ``through``; each layer gives, in bit order, its vertex
-    items and the edge items with an endpoint in it.  Unreached items come
-    last, in bit order; so does the last item left, which ends the walk."""
-    vbits = (1 << off) - 1
-    order = []
-    rest = cands
-    seen = frontier = start
-    while frontier and rest & (rest - 1):
-        found = frontier & vbits & rest
-        nxt = 0
-        if links:
-            hit = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                v = b.bit_length() - 1
-                nxt |= base[v]
-                e = inc[v] & links
-                hit |= e
-                while e:
-                    eb = e & -e
-                    e ^= eb
-                    x, y = edges[eb.bit_length() - 1]
-                    nxt |= (1 << x) | (1 << y)
-            found |= (hit << off) & rest
-        else:
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= base[b.bit_length() - 1]
-        rest ^= found
-        while found:
-            b = found & -found
-            found ^= b
-            order.append(b.bit_length() - 1)
-        frontier = nxt & through & ~seen
-        seen |= frontier
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        order.append(b.bit_length() - 1)
-    return order
 
 
 def _items(
@@ -302,8 +244,7 @@ def _search_trees(
     open vertex items), ``base``, and ``links``, the edge items it owns or
     may still take.  With no vertex items (``off`` = 0, edge-disjoint) a
     merge of c components takes c - 1 free edges, which prunes; with
-    them, one vertex can merge many.  The branch order comes from
-    ``_layer_order``.
+    them, one vertex can merge many.
 
     The reachability prune keeps each color's support: an item mask that,
     with the shared part, connects the color's terminals.  Every color
@@ -322,11 +263,11 @@ def _search_trees(
     endpoints, or a vertex and its ``base`` neighbours) merge at the place
     of the first one.  The candidates of a component are a mask: the free,
     unbanned vertex items next to it (the OR of ``adj`` over it) and edge
-    items leaving it (the XOR of ``inc`` over it).  They are tried in BFS
-    layers of the open subgraph from the terminals outside the component,
-    so by the distance of the vertex item or of the edge item's outside
-    endpoint, then by id; unreached candidates come last.  A single
-    candidate is tried without a walk.
+    items leaving it (the XOR of ``inc`` over it).  The candidates in the
+    color's support are tried first, then the rest, each group in id
+    order: the support is current after the prune, so the first branches
+    follow paths that still reach the missing terminals, and the order
+    costs no walk.
 
     The search runs on an explicit stack with one frame per node on the
     current path: the target color, its ban and component list as the
@@ -414,7 +355,6 @@ def _search_trees(
             return _subgraphs(g, items, color)
         if edge_mode and needed > free.bit_count():
             return None
-        target_k = 0
         cands = 0
         fewest = -1
         for k in comps[target]:
@@ -423,7 +363,7 @@ def _search_trees(
             if fewest == -1 or count < fewest:
                 if not count:
                     return None
-                fewest, target_k, cands = count, k, km
+                fewest, cands = count, km
         # Terminal capacity: every color still needs a private attachment.
         for at in attach:
             have = 0
@@ -446,15 +386,14 @@ def _search_trees(
                 if found is None:
                     return None
                 support[i] = (found[0] & vert_items) | (found[1] << off)
-        if fewest == 1:
-            order = [cands.bit_length() - 1]
-        else:
-            open_items = free & ~ban[target]
-            order = _layer_order(
-                base, inc, edges, off, s_mask & ~target_k,
-                (shared_v | (open_items & vbits)) & ~target_k, open_items >> off,
-                cands,
-            )
+        # Candidates on the paths that last connected the color come first
+        on = cands & support[target]
+        order = []
+        for m in (on, cands ^ on):
+            while m:
+                b = m & -m
+                m ^= b
+                order.append(b.bit_length() - 1)
         stack.append([target, ban[target], comps[target], order, 0])
         return None
 
@@ -640,12 +579,7 @@ def classical_lambda(g: Graph) -> int:
     """Edge connectivity via unit-capacity flows from a fixed source."""
     if g.n < 2:
         raise GraphError(f"edge connectivity undefined for n={g.n}")
-    best = None
-    for t in range(1, g.n):
-        best = _menger_flow(g.adjacency, 0, t, False, best)[0]
-        if best == 0:
-            return 0
-    return best
+    return cut_bound(g, range(g.n), g.n - 1, 1)
 
 
 # ---------------------------------------------------------------------------

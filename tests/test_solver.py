@@ -281,6 +281,25 @@ class TestSearchOrder:
         assert kappa_k(K5, 2) == 4
         assert calls == []
 
+    def test_r6_k4_branches_on_the_support_first(self, monkeypatch):
+        # K4 lifted to l = 4 by R6: the peel stops short of 4 and one
+        # search decides; trying the candidates on the color's support
+        # first finds the packing in 54 path walks and 32 nodes
+        out = reduce_lambda2_to_lambdal(K4, (0, 1, 2, 3), 4)
+        assert out.graph.n == 18 and out.terminals == (4, 7, 10, 13)
+        calls = _count_searches(monkeypatch)
+        walks = []
+        paths = solver._paths
+
+        def counted(*args):
+            walks.append(1)
+            return paths(*args)
+
+        monkeypatch.setattr(solver, "_paths", counted)
+        assert decide_lambda_set(out.graph, out.terminals, 4)
+        assert calls == [4]
+        assert len(walks) <= 60
+
     def test_two_terminal_lambda_decided_by_the_bound(self, monkeypatch):
         # lambda({s, t}) is the local edge connectivity, which the Menger
         # flow computes
@@ -412,7 +431,7 @@ class TestDeterminism:
             "8fabc6a1d3fbb01aa28545e4d0208eb9235d1140542cc6c4764998596c7739e8"
         )
         assert h.hexdigest() == (
-            "b1d2f7b93a0a92637e28056e95df860bfd378620cafbc33aebd7873d50efbb92"
+            "84193ea0c63ea146a18d5a6a32bb28f87228332a49ed2e344e4c18cd0e2b0032"
         )
 
     def test_r2_kappa_witnesses_pinned(self):
@@ -645,67 +664,6 @@ class TestSearchGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-class TestLayerOrder:
-    """``solver._layer_order`` against the order it names: candidates by
-    the oracle BFS distance of their key vertex (the vertex item itself,
-    or an edge item's endpoint outside the component) from the terminals
-    outside the component over the open subgraph, then by id, with
-    unreached candidates last."""
-
-    def _check(self, g, s, off, base, items_v, items_e, rng):
-        s_mask = sum(1 << t for t in s)
-        shared_v = g.all_vertices_mask & ~items_v
-        shared_e = g.all_edges_mask & ~items_e
-        for _ in range(3):
-            # a component with some but not all terminals
-            inside = rng.sample(s, rng.randint(1, len(s) - 1))
-            k = sum(1 << t for t in inside) | (items_v & rng.getrandbits(g.n))
-            open_v = items_v & ~k & rng.getrandbits(g.n)
-            open_e = items_e & rng.getrandbits(g.m)
-            near = 0
-            cut = 0
-            for v in _members(k):
-                near |= g.adjacency[v]
-                cut ^= g.incident[v]
-            cands = (near & open_v) | ((cut & open_e) << off)
-            sources = s_mask & ~k
-            through = (shared_v | open_v) & ~k
-            got = solver._layer_order(
-                base, g.incident, g.edges, off, sources, through, open_e, cands
-            )
-            comp = _members(k)
-            dist = oracles.distances(
-                g, _members(sources), _members(through), shared_e | open_e
-            )
-            keyed = []
-            for x in _members(cands):
-                if x < off:
-                    key = x
-                else:
-                    u, v = g.edges[x - off]
-                    key = v if u in comp else u
-                keyed.append((dist.get(key, float("inf")), x))
-            assert got == [x for _d, x in sorted(keyed)], (g.edges, s, k, open_v, open_e)
-
-    def test_kappa_n5(self):
-        rng = random.Random(37)
-        for g in gen_connected_graphs(5):
-            for size in range(2, g.n + 1):
-                for s in combinations(range(g.n), size):
-                    s_mask = sum(1 << t for t in s)
-                    base, ss_edges = _kappa_parts(g, s_mask)
-                    self._check(
-                        g, s, g.n, base, g.all_vertices_mask & ~s_mask, ss_edges, rng
-                    )
-
-    def test_lambda_n5(self):
-        rng = random.Random(41)
-        for g in gen_connected_graphs(5):
-            for size in range(2, g.n + 1):
-                for s in combinations(range(g.n), size):
-                    self._check(g, s, 0, [0] * g.n, 0, g.all_edges_mask, rng)
 
 
 class TestPackingUpperBound:
@@ -992,8 +950,8 @@ class TestLongCycle:
 
     # Three terminals of K4 with every edge made a path of 251 edges: the
     # search takes the paths one vertex at a time, deeper than the default
-    # recursion limit, and orders each node's candidates by a walk along
-    # them, so it is quadratic in their length
+    # recursion limit, and each node finds its candidates by an OR over
+    # the growing component, so it is quadratic in their length
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
@@ -1047,12 +1005,12 @@ class TestCircularLadder:
         assert decide(_circular_ladder(750), (0, 250, 500), 2)
 
     # Without the peel the search goes one node deeper per item the colors
-    # take, past the default recursion limit: C600 is about the smallest
-    # ladder at which a recursive search failed in both modes
+    # take: on C800 x K2 it is about 1,065 (kappa) and 1,069 (lambda)
+    # frames deep, past the default recursion limit of 1,000
     @pytest.mark.parametrize("decide", [decide_kappa_set, decide_lambda_set])
     def test_search_deeper_than_the_recursion_limit(self, decide, monkeypatch):
         monkeypatch.setattr(solver, "_peel", lambda *args: [])
-        assert decide(_circular_ladder(600), (0, 200, 400), 2)
+        assert decide(_circular_ladder(800), (0, 266, 533), 2)
 
 
 def _subdivided_with_tail(g: Graph) -> Graph:
