@@ -11,11 +11,12 @@ the nearest-terminal partition after a local search
 each stopping once the bound falls below the threshold.  ``cut_bound``,
 the least Menger edge cut from the first terminal, comes after the peel.
 
-``_menger_flow`` is that cut's flow, run on the adjacency masks of the
-graph: edge-disjoint s-t paths, or internally disjoint ones, with no
-network built.  With two terminals it is exact in both modes (Menger),
-so the solver answers every two-terminal question with it and takes the
-flow's paths, from ``_flow_paths``, as the witness.
+``_menger_flow`` is that cut's flow: edge-disjoint s-t paths on the
+adjacency masks of the graph, or internally disjoint ones, counted by the
+same augmenting loop on the masks of a graph with every vertex split in
+two.  With two terminals it is exact in both modes (Menger), so the
+solver answers every two-terminal question with it and takes the flow's
+paths, from ``_flow_paths``, as the witness.
 """
 
 from __future__ import annotations
@@ -38,109 +39,59 @@ def _menger_flow(
     being one path.  With ``limit`` set, augmenting stops once the value
     reaches it, so the value is exact only when it is below ``limit``.
 
-    Each augmenting path comes from a breadth-first search kept as one
-    mask per layer, and is walked back from t through the layers.  In
-    edge mode a unit on uw cancels one on wu, so u's residual neighbours
-    are ``adj[u] & ~succ[u]``.  In vertex mode every vertex but s and t
-    carries at most one unit, with no split graph: the search reaches a
-    vertex either on its way in or on its way out.  A vertex on its way in
-    goes on out of itself if it carries no unit, or else back to the
-    vertex its unit comes from; a vertex on its way out goes on in to
-    each neighbour it sends no unit to, or back in to itself if it
-    carries a unit."""
-    succ = [0] * len(adj)
-    pred = [0] * len(adj)
+    The flow runs on a directed graph, the arcs out of node u being
+    ``out[u]`` and those into it ``inn[u]``.  In edge mode the nodes are
+    the vertices and each edge is an arc both ways, so a unit on uw cancels
+    one on wu.  In vertex mode the graph is split: vertex v becomes an
+    in-node v and an out-node v + n joined by one arc, and each edge uw
+    the arcs from u + n to w and from w + n to u, so every vertex carries
+    at most one unit; the flow goes from s + n to t.  Each augmenting path
+    comes from a breadth-first search kept as one mask per layer, and is
+    walked back from t through the layers."""
+    n = len(adj)
     top = min(adj[s].bit_count(), adj[t].bit_count())
     if limit is not None:
         top = min(top, limit)
+    if vertex_mode:
+        out = [1 << (v + n) for v in range(n)] + list(adj)
+        inn = [a << n for a in adj] + [1 << v for v in range(n)]
+        s += n
+    else:
+        out = inn = adj
+    succ = [0] * len(out)
+    pred = [0] * len(out)
     sbit = 1 << s
     tbit = 1 << t
-    used = 0  # vertex mode: the vertices other than s and t carrying a unit
     flow = 0
     while flow < top:
-        if not vertex_mode:
-            layers = []
-            seen = frontier = sbit
-            while not frontier & tbit:
-                layers.append(frontier)
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    frontier ^= b
-                    u = b.bit_length() - 1
-                    nxt |= adj[u] & ~succ[u]
-                frontier = nxt & ~seen
-                if not frontier:
-                    return flow, succ
-                seen |= frontier
-            v = t
-            for layer in reversed(layers):
-                b = layer & adj[v] & ~pred[v]
-                b &= -b
+        layers = []
+        seen = frontier = sbit
+        while not frontier & tbit:
+            layers.append(frontier)
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
                 u = b.bit_length() - 1
-                if (succ[v] >> u) & 1:  # cancel the unit from v to u
-                    succ[v] ^= b
-                    pred[u] ^= 1 << v
-                else:
-                    succ[u] |= 1 << v
-                    pred[v] |= b
-                v = u
-            flow += 1
-            continue
-        # Layer i is (vertices reached on the way in, on the way out); a
-        # vertex on its way out is reached in the layer of the vertex on
-        # its way in that it comes from.
-        layers = [(0, sbit)]
-        seen_in = seen_out = sbit
-        outs = sbit
-        while True:
-            ins = outs & used
-            while outs:
-                b = outs & -outs
-                outs ^= b
-                u = b.bit_length() - 1
-                ins |= adj[u] & ~succ[u]
-            ins &= ~seen_in
-            if not ins:
-                return flow, succ
-            if ins & tbit:
-                break
-            seen_in |= ins
-            outs = ins & ~used
-            m = ins & used
-            while m:
-                b = m & -m
-                m ^= b
-                outs |= pred[b.bit_length() - 1]
-            outs &= ~seen_out
-            seen_out |= outs
-            layers.append((ins, outs))
-        # Walk back from t on its way in, taking each move above backwards
-        # and changing the flow as it goes.
+                nxt |= (out[u] & ~succ[u]) | pred[u]
+            frontier = nxt & ~seen
+            if not frontier:
+                return flow, succ[-n:]  # the out-nodes, which are the last n
+            seen |= frontier
         v = t
-        for ins, outs in reversed(layers):
-            vb = 1 << v
-            if outs & used & vb:  # out of v and back in to it
-                used ^= vb
-            else:  # a new unit from u to v
-                b = outs & adj[v] & ~pred[v]
-                b &= -b
-                pred[v] |= b
-                v = b.bit_length() - 1
-                succ[v] |= vb
-                vb = b
-            # v on its way out: in and out of itself, or back from the w
-            # that its unit goes to; at layer 0, v is s
-            if ins & vb and not used & vb:
-                used |= vb
-            elif ins:
-                b = ins & succ[v] & used
-                b &= -b
+        for layer in reversed(layers):
+            b = layer & ((inn[v] & ~pred[v]) | succ[v])
+            b &= -b
+            u = b.bit_length() - 1
+            if succ[v] & b:  # cancel the unit from v to u
                 succ[v] ^= b
-                v = b.bit_length() - 1
-                pred[v] ^= vb
+                pred[u] ^= 1 << v
+            else:
+                succ[u] |= 1 << v
+                pred[v] |= b
+            v = u
         flow += 1
-    return flow, succ
+    return flow, succ[-n:]
 
 
 def _flow_paths(

@@ -15,19 +15,18 @@ order until one settles the question:
    the terminal stars;
 2. two terminals: by Menger, kappa({s, t}) is the number of internally
    disjoint s-t paths, an edge st being one, and lambda({s, t}) the
-   number of edge-disjoint ones; ``bounds._menger_flow`` counts both on
-   the adjacency masks up to hi, and its paths are the packing;
+   number of edge-disjoint ones; ``bounds._menger_flow`` counts both up
+   to hi with one augmenting loop, on the adjacency masks or, for
+   kappa, on a split graph, and its paths are the packing;
 3. peel: ``_peel``, a greedy packing of shortest-path S-trees from each
    terminal in turn, each over the items the earlier ones left, settles
    the question where it reaches hi, and at hi = 1 always;
 4. cuts: ``bounds.cut_bound``, the least Menger edge cut from the first
    terminal; it comes after the peel, as it seldom refutes where the
    bounds do not and costs a flow per terminal;
-5. search: ``_search_trees`` at hi first for a decision and for an
-   edge-disjoint maximum, then climbing from len(trees) + 1 until a
-   search fails.  An internally disjoint maximum does not search at hi
-   first: the bounds count edges and miss the vertex cuts that hold
-   kappa below them.
+5. search: ``_search_trees`` at hi for a decision, which ends there;
+   for a maximum in both modes, climbing from len(trees) + 1 to hi
+   until a search fails.
 
 The witness of a maximum is the packing of the stage that settled it:
 the flow's paths, the peel's trees or the last search that succeeded.
@@ -461,16 +460,10 @@ def _packing(
         return None
     if len(trees) == hi:
         return trees
-    top = hi + 1
-    if need == hi or not vertex_mode:
-        found = _search_trees(g, terminals, hi, items)
-        if found is not None or need == hi:
-            return found
-        top = hi
-    for l in range(len(trees) + 1, top):
+    for l in range(hi if need == hi else len(trees) + 1, hi + 1):
         found = _search_trees(g, terminals, l, items)
         if found is None:
-            break
+            return None if need == hi else trees
         trees = found
     return trees
 

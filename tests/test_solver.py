@@ -225,8 +225,8 @@ class TestSearchOrder:
     def test_failed_bound_falls_back_to_ascending(self, monkeypatch):
         # bound 3 from the nearest-terminal partition, which no single
         # move lowers; lambda = 2, from {0, 5}, {2} and {1, 3, 4}.  The
-        # peel finds two trees, so once the search at 3 fails the
-        # witness is the peel's, with no search at 2
+        # peel finds two trees, so the climb starts at 3, the bound; once
+        # that search fails the witness is the peel's, with no search at 2
         g = Graph.from_edges(6, [
             (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4),
         ])
@@ -379,6 +379,43 @@ class TestClassical:
             assert res.value == 2
             assert verify_packing_result(g, (0, 4), res, vertex_mode=vertex_mode)
             assert decide(g, (0, 4), 2)
+
+    def test_flow_matches_oracle_past_n5(self):
+        # seeded graphs on 6 to 12 vertices, where augmenting paths can
+        # reroute along long stretches of earlier ones: at every limit the
+        # flow value is the oracle's count capped at the limit, and with
+        # no limit its paths are that many disjoint s-t paths
+        rng = random.Random(24)
+        for _ in range(500):
+            n = rng.randint(6, 12)
+            p = rng.uniform(0.2, 0.6)
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            s, t = rng.sample(range(n), 2)
+            adj, inc = g.adjacency, g.incident
+            top = min(adj[s].bit_count(), adj[t].bit_count())
+            for mode, vertex_mode in (("vertex", True), ("edge", False)):
+                best = oracles.menger_count(g, s, t, mode)
+                for limit in range(top + 1):
+                    value = bounds._menger_flow(adj, s, t, vertex_mode, limit)[0]
+                    assert value == min(best, limit), (g.edges, s, t, mode, limit)
+                value, succ = bounds._menger_flow(adj, s, t, vertex_mode)
+                assert value == best, (g.edges, s, t, mode)
+                paths = bounds._flow_paths(succ, inc, s, t)
+                assert len(paths) == best
+                ends = (1 << s) | (1 << t)
+                for i, (vs, es) in enumerate(paths):
+                    # a tree whose vertices have degree at most 2 and whose
+                    # ends are s and t is an s-t path
+                    deg = Counter(v for j, e in enumerate(g.edges) if es >> j & 1 for v in e)
+                    assert vs & ends == ends
+                    assert set(deg) == _members(vs) == oracles.reachable(g, s, _members(vs), es)
+                    assert len(deg) == es.bit_count() + 1
+                    assert max(deg.values()) <= 2
+                    assert deg[s] == deg[t] == 1
+                    for ws, fs in paths[:i]:
+                        assert not es & fs
+                        if vertex_mode:
+                            assert vs & ws == ends
 
 
 class TestDeterminism:
