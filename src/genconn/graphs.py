@@ -345,22 +345,6 @@ class ReductionOutput(_Value):
         _set(self, "gadget_map", gadget_map)
 
 
-def _reach(base: Sequence[int], start: int, vset: int) -> int:
-    """Vertices of ``vset`` reachable from ``start`` in the subgraph that
-    ``vset`` induces under the vertex adjacency masks ``base``.  A
-    frontier vertex costs one OR."""
-    reached = frontier = start & vset
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= base[b.bit_length() - 1]
-        frontier = nxt & vset & ~reached
-        reached |= frontier
-    return reached
-
-
 def _paths(
     base: Sequence[int],
     inc: Sequence[int],
@@ -373,18 +357,19 @@ def _paths(
     """Shortest paths from the vertices ``start`` to every vertex of
     ``targets`` in the subgraph that ``vset`` induces under the vertex
     adjacency masks ``base`` plus the edges whose ids are set in ``links``,
-    as (vertex mask, link mask): the vertices on the paths and the ids of
-    the ``links`` edges they use, a step along ``base`` (which must be
-    symmetric) using none.  None when some target is not reachable.
+    as (vertex mask, edge mask): the vertices on the paths and the ids of
+    the edges they use, along ``base`` (which must be symmetric and hold
+    edges of ``inc``) or ``links``.  None when some target is not
+    reachable.
 
     The walk is breadth-first, kept layer by layer and stopped once every
     target is reached; a frontier vertex costs one OR, and its ``inc``
     edges are scanned only when ``links`` is non-zero.  Walking back, each
-    vertex on a path takes a parent in the layer before it: a ``base``
-    neighbour, one already on a path first, else the lowest one; failing
-    that, the lowest ``links`` edge to that layer.  With ``base`` all
-    zeros every step is a link, so from one start vertex the links used
-    form a tree whose leaves all lie in ``start`` or ``targets``."""
+    vertex on a path takes one parent in the layer before it, and the edge
+    to it: a ``base`` neighbour, one already on a path first, else the
+    lowest one; failing that, the lowest ``links`` edge to that layer.  So
+    from one start vertex the paths form a tree whose leaves all lie in
+    ``start`` or ``targets``."""
     reached = frontier = start & vset
     layers = [frontier]
     missing = targets & ~reached
@@ -425,7 +410,9 @@ def _paths(
             p = base[v] & prev
             if p:
                 p = p & on_path or p
-                on_path |= p & -p
+                p &= -p
+                on_path |= p
+                used |= inc[v] & inc[p.bit_length() - 1]
                 continue
             e = inc[v] & links
             while e:
@@ -456,7 +443,7 @@ def is_connected(g: Graph, within: Iterable[int] | None = None) -> bool:
     if vmask == 0:
         return True
     start = vmask & -vmask
-    return _reach(g.adjacency, start, vmask) == vmask
+    return _paths(g.adjacency, g.incident, g.edges, start, vmask, vmask, 0) is not None
 
 
 def line_graph(g: Graph) -> Graph:

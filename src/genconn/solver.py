@@ -28,14 +28,15 @@ order until one settles the question:
    for a maximum in both modes, climbing from len(trees) + 1 to hi
    until a search fails.
 
-The witness of a maximum is the packing of the stage that settled it:
-the flow's paths, the peel's trees or the last search that succeeded.
-Each of its subgraphs is walked into an S-tree: the union of shortest
-paths from the first terminal to the others (``graphs._paths`` over the
-subgraph's edges), where every vertex on a path steps back by its lowest
-edge to the BFS layer before it, so every leaf is a terminal.  Subset
-minima build no trees.  Branch order is fixed, so values and witnesses
-are deterministic.
+Every stage returns its packing as S-trees, each a (vertex mask, edge
+mask), and the witness of a maximum is the packing of the stage that
+settled it: the flow's paths, the peel's trees or the trees of the last
+search that succeeded.  Each tree with three or more terminals is a
+``graphs._paths`` walk, the shortest paths from one terminal to the
+others, where every vertex on a path steps back by one edge to the BFS
+layer before it, so every leaf is a terminal.  Subset minima build no
+witness.  Branch order is fixed, so values and witnesses are
+deterministic.
 
 The peel and the search both build trees as colors.  Colors own *items*
 and share everything else, and a color's subgraph is the shared part plus
@@ -51,10 +52,10 @@ both kinds of packing, says which are which:
 Both kinds walk a color's subgraph the same way: ``base``, the vertex
 adjacency of the shared edges (all zeros for lambda), plus ``links``, the
 edge items the color owns or may still take.  One path walk,
-``graphs._paths``, and one conversion of colors to subgraphs,
-``_subgraphs``, serve both kinds in the peel and in the search.  The peel
-takes one color at a time; the search grows all l colors of a candidate
-packing at once.
+``graphs._paths``, serves both kinds in the peel and in the search: it
+returns a tree, whose items are its vertex items and its edge items.
+The peel takes one color at a time; the search grows all l colors of a
+candidate packing at once.
 
 A color is satisfied once its subgraph connects the terminals.  The search
 repeatedly picks the first unsatisfied color and branches over which free
@@ -157,32 +158,20 @@ def _items(
     return s_mask, base, off, vert_items, edge_items, attach
 
 
-def _subgraphs(
-    g: Graph, items: tuple, colors: Iterable[int]
-) -> list[tuple[int, int]]:
-    """The (vertex mask, edge mask) subgraph of each color item mask: the
-    shared part of the ``_items`` model plus the color's own items."""
-    _, _, off, vert_items, edge_items, _ = items
-    shared_v = g.all_vertices_mask & ~vert_items
-    shared_e = g.all_edges_mask & ~edge_items
-    vbits = (1 << off) - 1
-    return [(shared_v | (c & vbits), shared_e | (c >> off)) for c in colors]
-
-
 def _peel(
     g: Graph, terminals: Sequence[int], l: int, items: tuple
 ) -> list[tuple[int, int]]:
-    """A packing of at most l trees that a greedy peel finds, as one
-    (vertex mask, edge mask) subgraph per tree, each holding an S-tree.
-    It works on the item masks of ``items``, the question's ``_items``
-    model, as the search does.  From each terminal in turn as the root, it
-    takes the ``_paths`` walk from the root to the other terminals over
-    the shared part and the items that earlier trees left, and the tree
-    takes the items on its paths: its non-terminal vertices and
-    terminal-terminal edges (internally disjoint), or its edges, every
-    vertex being shared (edge-disjoint).  The trees of one root are
-    pairwise disjoint in their items, so each root gives a packing; the
-    first to reach l trees is returned, or else the first of the largest.
+    """A packing of at most l S-trees that a greedy peel finds, each as
+    (vertex mask, edge mask).  It works on the item masks of ``items``,
+    the question's ``_items`` model, as the search does.  From each
+    terminal in turn as the root, each tree is the ``_paths`` walk from
+    the root to the other terminals over the shared part and the items
+    that earlier trees left, and it takes its items: its non-terminal
+    vertices and terminal-terminal edges (internally disjoint), or its
+    edges, every vertex being shared (edge-disjoint).  The trees of one
+    root are pairwise disjoint in their items, so each root gives a
+    packing; the first to reach l trees is returned, or else the first of
+    the largest.
 
     The root's items are its ``attach`` mask.  A root is saturated when
     its open items number exactly the trees still to place: each of those
@@ -200,7 +189,7 @@ def _peel(
     edges = g.edges
     shared_v = g.all_vertices_mask & ~vert_items
     vbits = (1 << off) - 1
-    best: list[int] = []
+    best: list[tuple[int, int]] = []
     for r, at_r in zip(terminals, attach):
         firsts = [0]
         if at_r.bit_count() == l:
@@ -218,25 +207,24 @@ def _peel(
                 )
                 if found is None:
                     break
-                c = (found[0] & vert_items) | (found[1] << off)
-                trees.append(c)
-                free ^= c
+                trees.append(found)
+                free ^= (found[0] & vert_items) | ((found[1] & edge_items) << off)
             if len(trees) == l:
-                return _subgraphs(g, items, trees)
+                return trees
             if len(trees) > len(best):
                 best = trees
-    return _subgraphs(g, items, best)
+    return best
 
 
 def _search_trees(
     g: Graph, terminals: Sequence[int], l: int, items: tuple
 ) -> list[tuple[int, int]] | None:
-    """The (vertex mask, edge mask) subgraphs of l >= 1 colors, each
-    connecting the terminals, whose items are pairwise disjoint, or None.
-    Each subgraph holds a minimal S-tree (the ``_paths`` walk over its
-    edges, from the first terminal), and these trees are pairwise
-    internally disjoint or edge-disjoint, as ``items``, the question's
-    ``_items`` model, says.
+    """l >= 1 S-trees, each as (vertex mask, edge mask), pairwise
+    internally disjoint or edge-disjoint as ``items``, the question's
+    ``_items`` model, says; or None when there are none.  The search
+    finds l colors, each connecting the terminals, whose items are
+    pairwise disjoint, and each tree is the ``_paths`` walk from the first
+    terminal within its color.
 
     Colors own items and share the rest.  A color's subgraph is walked
     over the vertices it may use (the shared ones plus its own and the
@@ -250,12 +238,12 @@ def _search_trees(
     starts from one walk of the whole item set.  A color whose support
     lies in its own plus open items passes without a walk.  Any
     other color is walked by ``_paths`` from the first terminal, which
-    stops once every terminal is reached; its paths give the new support,
-    their non-terminal vertex items and their edge items.  A missed
-    terminal fails the node, as it would with a full walk, so the verdict
-    at every node is that of a full walk.  A support left over from a
-    backtracked branch is only a guess: it is checked against the color's
-    items before it is trusted.
+    stops once every terminal is reached; its tree gives the new support,
+    its vertex items and its edge items.  A missed terminal fails the
+    node, as it would with a full walk, so the verdict at every node is
+    that of a full walk.  A support left over from a backtracked branch is
+    only a guess: it is checked against the color's items before it is
+    trusted.
 
     Each color's terminal components are kept in order of least terminal
     and updated as items join: the components an item touches (its
@@ -293,7 +281,7 @@ def _search_trees(
     found = _paths(base, inc, edges, 1 << t0, s_mask, shared_v | vert_items, edge_items)
     if found is None:
         return None
-    support = [(found[0] & vert_items) | (found[1] << off)] * l
+    support = [(found[0] & vert_items) | ((found[1] & edge_items) << off)] * l
 
     def merge(cl: list[int], x: int) -> list[int]:
         """``cl`` after item x joins the color: the components x touches
@@ -351,7 +339,10 @@ def _search_trees(
                 if not edge_mode:
                     break  # one vertex can merge many components
         if target == -1:
-            return _subgraphs(g, items, color)
+            return [
+                _paths(base, inc, edges, 1 << t0, s_mask, shared_v | (c & vbits), c >> off)
+                for c in color
+            ]
         if edge_mode and needed > free.bit_count():
             return None
         cands = 0
@@ -384,7 +375,7 @@ def _search_trees(
                 )
                 if found is None:
                     return None
-                support[i] = (found[0] & vert_items) | (found[1] << off)
+                support[i] = (found[0] & vert_items) | ((found[1] & edge_items) << off)
         # Candidates on the paths that last connected the color come first
         on = cands & support[target]
         order = []
@@ -434,12 +425,12 @@ def _packing(
     need: int,
     cap: int | None,
 ) -> list[tuple[int, int]] | None:
-    """The (vertex mask, edge mask) subgraphs of a largest packing of at
-    most ``cap`` trees (of any size when ``cap`` is None), each holding an
-    S-tree, or None once the packing number is shown to be below
-    ``need``, which the callers set to 0 or to ``cap``.  The stages are
-    those of the module docstring, in its order; each narrows the bracket
-    [len(trees), hi] or settles the question."""
+    """A largest packing of at most ``cap`` S-trees (of any size when
+    ``cap`` is None), each as (vertex mask, edge mask), or None once the
+    packing number is shown to be below ``need``, which the callers set to
+    0 or to ``cap``.  The stages are those of the module docstring, in its
+    order; each narrows the bracket [len(trees), hi] or settles the
+    question."""
     hi = packing_upper_bound(g, terminals, cap)
     if hi < need:
         return None
@@ -469,16 +460,7 @@ def _packing(
 
 
 def _packing_max(g: Graph, s: Iterable[int], vertex_mode: bool) -> PackingResult:
-    terminals = _check_terminals(g, s)
-    trees = _packing(g, terminals, vertex_mode, 0, None)
-    if len(terminals) > 2:
-        # With no base, every step is an edge of the tree's subgraph and
-        # each vertex on a path steps back by one edge: a tree whose
-        # leaves are all terminals
-        base = [0] * g.n
-        t0 = 1 << terminals[0]
-        s_mask = _mask_of(terminals)
-        trees = [_paths(base, g.incident, g.edges, t0, s_mask, tv, te) for tv, te in trees]
+    trees = _packing(g, _check_terminals(g, s), vertex_mode, 0, None)
     return PackingResult(
         len(trees), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in trees)
     )

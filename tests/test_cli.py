@@ -56,6 +56,12 @@ class TestSolve:
         assert main(["solve", "lambda", "-g", k4]) == 0
         assert capsys.readouterr().out == "3\n3\n"
 
+    def test_subset_minimum_without_k_is_usage_error(self, k4, capsys):
+        assert main(["solve", "kappa-k", "-g", k4]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kappa-k requires -k" in captured.err
+
     def test_missing_set_is_usage_error(self, p3, capsys):
         assert main(["solve", "kappa-set", "-g", p3]) == 2
         assert "requires -S" in capsys.readouterr().err

@@ -38,6 +38,8 @@ class TestGraphInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
             Graph.from_edges(2, [(0, 0)])
+        with pytest.raises(GraphError, match="self-loop"):
+            Graph(3, ((1, 1),))
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):

@@ -284,7 +284,8 @@ class TestSearchOrder:
     def test_r6_k4_branches_on_the_support_first(self, monkeypatch):
         # K4 lifted to l = 4 by R6: the peel stops short of 4 and one
         # search decides; trying the candidates on the color's support
-        # first finds the packing in 54 path walks and 32 nodes
+        # first finds the packing in 54 path walks and 32 nodes, and 4
+        # more walks build its trees
         out = reduce_lambda2_to_lambdal(K4, (0, 1, 2, 3), 4)
         assert out.graph.n == 18 and out.terminals == (4, 7, 10, 13)
         calls = _count_searches(monkeypatch)
@@ -402,20 +403,55 @@ class TestClassical:
                 assert value == best, (g.edges, s, t, mode)
                 paths = bounds._flow_paths(succ, inc, s, t)
                 assert len(paths) == best
-                ends = (1 << s) | (1 << t)
-                for i, (vs, es) in enumerate(paths):
-                    # a tree whose vertices have degree at most 2 and whose
-                    # ends are s and t is an s-t path
-                    deg = Counter(v for j, e in enumerate(g.edges) if es >> j & 1 for v in e)
-                    assert vs & ends == ends
-                    assert set(deg) == _members(vs) == oracles.reachable(g, s, _members(vs), es)
-                    assert len(deg) == es.bit_count() + 1
-                    assert max(deg.values()) <= 2
-                    assert deg[s] == deg[t] == 1
-                    for ws, fs in paths[:i]:
-                        assert not es & fs
-                        if vertex_mode:
-                            assert vs & ws == ends
+                _assert_disjoint_paths(g, s, t, paths, vertex_mode)
+
+    def test_flow_paths_cut_a_loop(self):
+        # this edge-mode flow from 16 to 17 holds the directed cycle
+        # 0 -> 5 -> 12 -> 0, each its vertex's lowest unit, so the path
+        # that reaches 5 runs round it back to 5 and the loop is cut off
+        g = Graph(21, (
+            (0, 5), (0, 6), (0, 8), (0, 11), (0, 12), (0, 17), (0, 20), (1, 3),
+            (1, 4), (1, 5), (1, 7), (1, 15), (1, 20), (2, 12), (2, 17), (3, 16),
+            (3, 18), (3, 19), (4, 8), (4, 9), (4, 13), (4, 18), (4, 19), (4, 20),
+            (5, 6), (5, 10), (5, 11), (5, 12), (5, 15), (5, 17), (5, 18), (6, 8),
+            (6, 11), (6, 20), (7, 9), (7, 10), (7, 12), (7, 20), (8, 12), (8, 15),
+            (8, 19), (8, 20), (9, 10), (9, 16), (9, 20), (10, 11), (10, 12),
+            (11, 19), (11, 20), (12, 13), (12, 16), (13, 14), (13, 17), (13, 18),
+            (14, 19), (15, 20), (16, 20), (18, 19),
+        ))
+        value, succ = bounds._menger_flow(g.adjacency, 16, 17, False)
+        assert value == 4
+        for u, w in ((0, 5), (5, 12), (12, 0)):
+            assert succ[u] & -succ[u] == 1 << w
+        paths = bounds._flow_paths(succ, g.incident, 16, 17)
+        assert len(paths) == 4
+        assert any(vs >> 5 & 1 for vs, _ in paths)
+        _assert_disjoint_paths(g, 16, 17, paths, False)
+        res = lambda_set(g, (16, 17))
+        assert res.value == 4
+        assert verify_packing_result(g, (16, 17), res, vertex_mode=False)
+        assert decide_lambda_set(g, (16, 17), 4)
+        assert not decide_lambda_set(g, (16, 17), 5)
+
+
+def _assert_disjoint_paths(g, s, t, paths, vertex_mode) -> None:
+    """Each (vertex mask, edge mask) of ``paths`` is a simple s-t path, and
+    the paths are pairwise edge-disjoint, and with ``vertex_mode``
+    internally disjoint."""
+    ends = (1 << s) | (1 << t)
+    for i, (vs, es) in enumerate(paths):
+        # a tree whose vertices have degree at most 2 and whose ends are s
+        # and t is an s-t path
+        deg = Counter(v for j, e in enumerate(g.edges) if es >> j & 1 for v in e)
+        assert vs & ends == ends
+        assert set(deg) == _members(vs) == oracles.reachable(g, s, _members(vs), es)
+        assert len(deg) == es.bit_count() + 1
+        assert max(deg.values()) <= 2
+        assert deg[s] == deg[t] == 1
+        for ws, fs in paths[:i]:
+            assert not es & fs
+            if vertex_mode:
+                assert vs & ws == ends
 
 
 class TestDeterminism:
@@ -475,16 +511,17 @@ class TestDeterminism:
         # kappa with the three apex terminals of R2 on every tripartite
         # graph with q <= 2 (4,104 graphs); three terminals on 9 vertices
         # make the search merge components, which n <= 4 never does; every
-        # tree leaf is a terminal
+        # witness re-verifies and every tree leaf is a terminal
         h = hashlib.sha256()
         for q in (1, 2):
             for g in gen_balanced_tripartite(q):
                 out = reduce_p1_to_kappa(g, q)
                 res = kappa_set(out.graph, out.terminals)
+                assert verify_packing_result(out.graph, out.terminals, res, vertex_mode=True)
                 assert _leaves_are_terminals(res, out.terminals), g.edges
                 h.update(_result_repr(res))
         assert h.hexdigest() == (
-            "7807a2657abbd2558483e657077d9e67cc823cf2ef4fbd1016bf674b20e23276"
+            "6b39817dbc50eb1a16ae927702910fb9ff37efeec187a8e6f56aa74d971ea1f9"
         )
 
     def test_k6_lambda_witnesses_pinned(self):
@@ -643,9 +680,10 @@ class TestVertexReach:
 
 
 class TestSupportWalk:
-    """``graphs._paths``, the walk that gives a color its support: it fails
-    exactly when the oracle walk misses a terminal, and otherwise the
-    support items plus the shared part alone connect every terminal."""
+    """``graphs._paths``, the walk that gives a color its support and its
+    tree: it fails exactly when the oracle walk misses a terminal, and
+    otherwise it returns a tree inside the color's subgraph that, with the
+    shared vertices, connects every terminal."""
 
     def _check(self, g, s, base, vset, links, shared_v, shared_e):
         s_mask = sum(1 << t for t in s)
@@ -657,7 +695,11 @@ class TestSupportWalk:
             return
         assert got is not None, (g.edges, s, vset, links)
         path_v, used = got
-        assert not path_v & ~vset and not used & ~links
+        assert not path_v & ~vset and not used & ~(shared_e | links)
+        for j in _members(used):
+            u, v = g.edges[j]
+            assert (path_v >> u) & 1 and (path_v >> v) & 1, (g.edges, s, got)
+        assert used.bit_count() == path_v.bit_count() - 1, (g.edges, s, got)
         assert set(s) <= oracles.reachable(
             g, t0, _members(shared_v | path_v), shared_e | used
         ), (g.edges, s, vset, links, got)
@@ -861,7 +903,6 @@ class TestPeel:
         ]
         cases += rng.sample(n5, 1500)
         for g, s in cases:
-            s_mask = sum(1 << t for t in s)
             trees = oracles.all_stein_trees(g, s)
             top = min(g.incident[t].bit_count() for t in s)
             for mode, vertex_mode in (("vertex", True), ("edge", False)):
@@ -871,12 +912,9 @@ class TestPeel:
                 for l in range(1, top + 1):
                     got = solver._peel(g, s, l, items)
                     assert len(got) <= min(l, best), (g.edges, s, mode, l)
-                    res = solver.PackingResult(len(got), tuple(
-                        SteinerTree.from_masks(g, *_paths(
-                            [0] * g.n, g.incident, g.edges, 1 << s[0], s_mask, tv, te
-                        ))
-                        for tv, te in got
-                    ))
+                    res = solver.PackingResult(
+                        len(got), tuple(SteinerTree.from_masks(g, tv, te) for tv, te in got)
+                    )
                     assert verify_packing_result(g, s, res, vertex_mode=vertex_mode), (
                         g.edges, s, mode, l)
                     assert _leaves_are_terminals(res, s), (g.edges, s, mode, l)

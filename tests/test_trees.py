@@ -119,6 +119,22 @@ class TestIsSteinerTree:
     def test_accepts_valid(self):
         assert is_steiner_tree(P3, (0, 2), SteinerTree((0, 1, 2), ((0, 1), (1, 2))))
 
+    def test_rejects_duplicate_edge(self):
+        assert not is_steiner_tree(P3, (0, 1), SteinerTree((0, 1, 2), ((0, 1), (0, 1))))
+
+    def test_rejects_uncovered_vertex(self):
+        # |E| = |V| - 1 and every edge in the host, but vertex 3 lies on
+        # no edge
+        tree = SteinerTree((0, 1, 2, 3), ((0, 1), (0, 2), (1, 2)))
+        assert not is_steiner_tree(K4, (0, 1), tree)
+
+    def test_rejects_cycle_with_tree_edge_count(self):
+        # a triangle plus a disjoint edge: |E| = |V| - 1, every vertex
+        # covered, yet not a tree
+        k5 = Graph(5, tuple(combinations(range(5), 2)))
+        tree = SteinerTree((0, 1, 2, 3, 4), ((0, 1), (0, 2), (1, 2), (3, 4)))
+        assert not is_steiner_tree(k5, (0, 3), tree)
+
 
 class TestEdgePackingOracle:
     K4_PAIR = [((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3))]

@@ -6,7 +6,7 @@ import pytest
 import internally_disjoint_r5
 import oracles
 from genconn import cli, io, reductions, solver
-from genconn.graphs import Graph, GraphError, ReductionOutput
+from genconn.graphs import Graph, GraphError, ReductionOutput, SteinerTree
 from genconn.solver import GuardError, decide_3sat, decide_lambda_set, lambda_set
 from genconn.reductions import reduce_3sat_to_lambda2
 from genconn.verify import (
@@ -18,8 +18,12 @@ from genconn.verify import (
     gen_balanced_tripartite,
     gen_cnf,
     gen_connected_graphs,
+    verify_packing_result,
     verify_reduction,
 )
+
+K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+K4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
 class TestGenerators:
@@ -224,6 +228,56 @@ class TestVerifyReduction:
         assert {f.kind for f in report.failures} == {"size"}
         assert report.failures[0].lhs == "V=3 E=1 terminals=(0, 1)"
         assert report.failures[0].rhs == "V=3 E=2 terminals=(0, 1)"
+
+
+class TestWitnessCheck:
+    """``verify_packing_result`` and the R3 witness check reject what is
+    not a packing."""
+
+    PATH = SteinerTree((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
+
+    def test_accepts_a_packing(self):
+        other = SteinerTree((0, 1, 2, 3), ((0, 2), (0, 3), (1, 3)))
+        res = solver.PackingResult(2, (self.PATH, other))
+        assert verify_packing_result(K4, (0, 1, 2, 3), res, vertex_mode=False)
+
+    def test_rejects_a_count_other_than_the_value(self):
+        for value in (0, 2):
+            res = solver.PackingResult(value, (self.PATH,))
+            assert not verify_packing_result(K4, (0, 3), res, vertex_mode=False)
+
+    def test_rejects_a_non_tree(self):
+        res = solver.PackingResult(1, (SteinerTree((0, 1, 2), K3.edges),))
+        assert not verify_packing_result(K3, (0, 1), res, vertex_mode=False)
+        assert not verify_packing_result(K3, (0, 1), res, vertex_mode=True)
+
+    def test_rejects_a_shared_edge(self):
+        star = SteinerTree((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
+        res = solver.PackingResult(2, (self.PATH, star))
+        assert not verify_packing_result(K4, (0, 1, 2, 3), res, vertex_mode=False)
+
+    def test_rejects_a_shared_non_terminal(self):
+        # edge-disjoint, so a lambda packing, but both trees hold vertex 2
+        via2 = SteinerTree((0, 1, 2), ((0, 2), (1, 2)))
+        star3 = SteinerTree((0, 1, 2, 3), ((0, 3), (1, 3), (2, 3)))
+        res = solver.PackingResult(2, (via2, star3))
+        assert verify_packing_result(K4, (0, 1), res, vertex_mode=False)
+        assert not verify_packing_result(K4, (0, 1), res, vertex_mode=True)
+
+    def test_r3_reports_invalid_witnesses(self, monkeypatch):
+        # a tree that holds no terminal is no S-tree: both witnesses fail
+        # on every instance, and the equal values raise no equivalence
+        # failure
+        bad = solver.PackingResult(1, (SteinerTree((), ()),))
+        monkeypatch.setattr(solver, "lambda_set", lambda g, s: bad)
+        monkeypatch.setattr(solver, "kappa_set", lambda g, s: bad)
+        report = verify_reduction("R3", VerifyBudget(max_n=3, max_terminals=3))
+        assert report.instances_checked == 17
+        assert len(report.failures) == 2 * 17
+        assert {(f.kind, f.lhs, f.rhs) for f in report.failures} == {
+            ("witness", "lambda witness", "invalid"),
+            ("witness", "kappa witness", "invalid"),
+        }
 
 
 class TestReductionTable:
