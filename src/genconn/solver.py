@@ -561,43 +561,35 @@ def classical_lambda(g: Graph) -> int:
 # Source-problem deciders (reduction oracles)
 
 
-def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
-    """Indices of rows exactly covering the universe bitmask, or None.
+def _exact_cover(n: int, rows: Sequence[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """Indices of rows exactly covering the items 0..n-1, or None; each row
+    is a tuple of distinct item ids.
 
     Knuth's Algorithm X on bitmasks: ``cols[x]`` holds the rows covering
-    item x and ``clash[i]`` the rows meeting row i, so a node's live rows
-    are one int.  Each node branches on the lowest uncovered item with the
-    fewest live rows and tries them in ascending index.  The item scan
-    stops at the first count of 0 or 1: a 0 ends the node with or without
-    the rest of the scan, and a 1 is the minimum.  The search runs on an
-    explicit stack of (uncovered items, live rows, rows left to try).
+    item x, so a node's live rows are one int, and a tried row's child
+    keeps the live rows outside the columns of its items.  Each node
+    branches on the lowest uncovered item with the fewest live rows and
+    tries them in ascending index.  The item scan stops at the first count
+    of 0 or 1: a 0 ends the node with or without the rest of the scan, and
+    a 1 is the minimum.  The search runs on an explicit stack of
+    (uncovered items, live rows, rows left to try).
 
-    Every row must lie within the universe, as in both callers.  Then a
-    node's live rows are exactly the rows that lie inside its uncovered
-    items, and whether those items have an exact cover depends on them
-    alone (Nishino, Yasuda, Minato and Nagata 2017 memoize on the same
-    key).  So the search remembers every uncovered set it has refuted:
-    that of a node whose rows have all failed, and that of a child with
-    an item no live row covers; a child whose uncovered set is one of them
-    is skipped.  Only failing subtrees are cut, and the branch order is
+    Every item must be below n, as in both callers.  Then a node's live
+    rows are exactly the rows that lie inside its uncovered items, and
+    whether those items have an exact cover depends on them alone
+    (Nishino, Yasuda, Minato and Nagata 2017 memoize on the same key).  So
+    the search remembers every uncovered set it has refuted: that of a
+    node whose rows have all failed, and that of a child with an item no
+    live row covers; a child whose uncovered set is one of them is
+    skipped.  Only failing subtrees are cut, and the branch order is
     unchanged, so the cover returned is the one the plain search finds
     first."""
-    cols = [0] * max([universe, *rows]).bit_length()
+    if n == 0:
+        return ()
+    cols = [0] * n
     for i, row in enumerate(rows):
-        r = row
-        while r:
-            b = r & -r
-            r ^= b
-            cols[b.bit_length() - 1] |= 1 << i
-    clash = []
-    for row in rows:
-        c = 0
-        r = row
-        while r:
-            b = r & -r
-            r ^= b
-            c |= cols[b.bit_length() - 1]
-        clash.append(c)
+        for x in row:
+            cols[x] |= 1 << i
 
     def branch_rows(remaining: int, avail: int) -> int:
         best = -1
@@ -614,8 +606,7 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
                     break
         return best_rows
 
-    if universe == 0:
-        return ()
+    universe = (1 << n) - 1
     avail = (1 << len(rows)) - 1
     stack = [(universe, avail, branch_rows(universe, avail))]
     chosen: list[int] = []  # the row tried at each frame below the top
@@ -631,12 +622,14 @@ def _exact_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
         b = untried & -untried
         stack[-1] = (remaining, avail, untried ^ b)
         i = b.bit_length() - 1
-        rest = remaining & ~rows[i]
+        rest, sub_avail = remaining, avail
+        for x in rows[i]:
+            rest ^= 1 << x
+            sub_avail &= ~cols[x]
         if not rest:
             return tuple(chosen) + (i,)
         if rest in refuted:
             continue
-        sub_avail = avail & ~clash[i]
         sub_rows = branch_rows(rest, sub_avail)
         if sub_rows:
             chosen.append(i)
@@ -650,25 +643,37 @@ def decide_3dm(inst: ThreeDMInstance) -> bool:
     """True iff a perfect three-dimensional matching exists (exact cover of
     the three ground sets by the given triples)."""
     n = inst.n
-    universe = (1 << (3 * n)) - 1
-    rows = [(1 << u) | (1 << (n + v)) | (1 << (2 * n + w)) for u, v, w in inst.triples]
-    return _exact_cover(universe, rows) is not None
+    rows = [(u, n + v, 2 * n + w) for u, v, w in inst.triples]
+    return _exact_cover(3 * n, rows) is not None
 
 
 def rainbow_connected_triples(g: Graph) -> list[tuple[int, int, int]]:
     """All vertex triples with one vertex per part inducing a connected
     subgraph (i.e. carrying at least two of the three possible edges).
     For a pair (u, v), the third vertex w is any part-3 neighbour of u or v
-    when uv is an edge, and a common part-3 neighbour otherwise."""
+    when uv is an edge, and a common part-3 neighbour otherwise.  So v is
+    a neighbour of u or of one of u's part-3 neighbours, and only those v
+    are visited; the triples come by ascending u, then v, then w."""
     pu, pv, pw = g.parts()
     adj = g.adjacency
+    vmask = _mask_of(pv)
     wmask = _mask_of(pw)
     out = []
     for u in pu:
         au = adj[u]
-        for v in pv:
+        near = au
+        m = au & wmask
+        while m:
+            b = m & -m
+            m ^= b
+            near |= adj[b.bit_length() - 1]
+        near &= vmask
+        while near:
+            b = near & -near
+            near ^= b
+            v = b.bit_length() - 1
             av = adj[v]
-            m = (au | av) & wmask if (au >> v) & 1 else au & av & wmask
+            m = (au | av) & wmask if au & b else au & av & wmask
             while m:
                 b = m & -m
                 m ^= b
@@ -681,8 +686,7 @@ def solve_problem1(g: Graph) -> tuple[tuple[int, int, int], ...] | None:
     Implemented as exact cover over all connected rainbow triples."""
     g.part_size()
     triples = rainbow_connected_triples(g)
-    rows = [(1 << u) | (1 << v) | (1 << w) for u, v, w in triples]
-    chosen = _exact_cover(g.all_vertices_mask, rows)
+    chosen = _exact_cover(g.n, triples)
     if chosen is None:
         return None
     return tuple(triples[i] for i in chosen)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from genconn.graphs import Graph
+from genconn.graphs import Graph, ThreeDMInstance
 
 
 def all_stein_trees(g: Graph, s: tuple[int, ...]) -> list[tuple[frozenset, frozenset]]:
@@ -171,6 +171,22 @@ def prune_to_minimal(tree: tuple[frozenset, frozenset], s: tuple[int, ...]
         for v in leaves:
             vs.remove(v)
             es.discard(deg[v][0])
+
+
+def matching_by_permutations(inst: ThreeDMInstance) -> bool:
+    """Perfect three-dimensional matching decision by scanning all pairs of
+    permutations sigma, tau of the ground set: a matching is exactly such a
+    pair with every (i, sigma(i), tau(i)) a given triple (feasible for
+    n <= 4)."""
+    from itertools import permutations
+
+    triples = set(inst.triples)
+    ground = range(inst.n)
+    return any(
+        all((i, sigma[i], tau[i]) in triples for i in ground)
+        for sigma in permutations(ground)
+        for tau in permutations(ground)
+    )
 
 
 def problem1_by_permutations(g: Graph) -> bool:

@@ -1215,6 +1215,25 @@ class TestDecide3DM:
             )
             assert decide_3dm(inst) == want
 
+    def test_against_permutation_oracle(self):
+        # every instance with n <= 2, then seeded samples at n = 3 from
+        # sparse to dense, against an oracle that shares no code with the
+        # exact cover (decide_problem1 runs the same search)
+        for inst in gen_3dm(2):
+            assert decide_3dm(inst) == oracles.matching_by_permutations(inst), inst
+        rng = random.Random(26)
+        universe = [(u, v, w) for u in range(3) for v in range(3) for w in range(3)]
+        answers = Counter()
+        for p in (0.15, 0.3, 0.5):
+            for _ in range(150):
+                triples = [t for t in universe if rng.random() < p]
+                rng.shuffle(triples)
+                inst = ThreeDMInstance(3, triples)
+                want = oracles.matching_by_permutations(inst)
+                assert decide_3dm(inst) == want, inst
+                answers[want] += 1
+        assert min(answers[True], answers[False]) >= 50, answers
+
     def test_deep_cover_at_default_recursion_limit(self):
         # 1,200 search levels, above Python's default limit of 1,000
         triples = tuple((i, i, i) for i in range(1200))
@@ -1231,23 +1250,52 @@ def _p1_family() -> list[Graph]:
     return graphs
 
 
-def _first_cover(universe: int, rows: Sequence[int]) -> tuple[int, ...] | None:
+def _random_tripartite(rng: random.Random, q: int, p: float) -> Graph:
+    """A balanced tripartite graph on 3q vertices, its parts shuffled over
+    the labels, each cross-part pair an edge with probability p."""
+    tag = [0] * q + [1] * q + [2] * q
+    rng.shuffle(tag)
+    edges = [
+        (u, v)
+        for u, v in combinations(range(3 * q), 2)
+        if tag[u] != tag[v] and rng.random() < p
+    ]
+    return Graph(3 * q, edges, tag)
+
+
+def _past_q2_family() -> list[Graph]:
+    """Eight seeded random balanced tripartite graphs for each q = 3-6 and
+    edge probability 0.1, 0.3 and 0.6."""
+    rng = random.Random(26)
+    return [
+        _random_tripartite(rng, q, p)
+        for q in range(3, 7)
+        for p in (0.1, 0.3, 0.6)
+        for _ in range(8)
+    ]
+
+
+def _first_cover(
+    uncovered: frozenset[int], rows: Sequence[tuple[int, ...]]
+) -> tuple[int, ...] | None:
     """Plain recursive Algorithm X with the branch order of
     ``solver._exact_cover`` and no memo: the lowest uncovered item with
     the fewest rows inside the uncovered items, its rows by index."""
-    if not universe:
+    if not uncovered:
         return ()
-    live = [i for i, r in enumerate(rows) if r & universe == r]
-    item = min(
-        (x for x in range(universe.bit_length()) if (universe >> x) & 1),
-        key=lambda x: sum(1 for i in live if (rows[i] >> x) & 1),
-    )
+    live = [i for i, r in enumerate(rows) if uncovered.issuperset(r)]
+    item = min(sorted(uncovered), key=lambda x: sum(1 for i in live if x in rows[i]))
     for i in live:
-        if (rows[i] >> item) & 1:
-            rest = _first_cover(universe & ~rows[i], rows)
+        if item in rows[i]:
+            rest = _first_cover(uncovered.difference(rows[i]), rows)
             if rest is not None:
                 return (i, *rest)
     return None
+
+
+def _item_tuple(mask: int) -> tuple[int, ...]:
+    """The items of a bitmask row, ascending."""
+    return tuple(x for x in range(mask.bit_length()) if (mask >> x) & 1)
 
 
 class _CountedRows(list):
@@ -1263,7 +1311,7 @@ class _CountedRows(list):
 class TestExactCover:
     def test_empty_universe(self):
         assert solver._exact_cover(0, []) == ()
-        assert solver._exact_cover(0, [0b1, 0b11]) == ()
+        assert solver._exact_cover(0, [(0,), (0, 1)]) == ()
 
     def test_refuted_remainders_are_skipped(self):
         # the R1 graph with the most nodes in the n <= 2, m <= 4 family:
@@ -1271,11 +1319,9 @@ class TestExactCover:
         # 668 rows without the memo of refuted remainders and 88 with it
         inst = ThreeDMInstance(2, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)))
         g = reduce_3dm_to_p1(inst)[0]
-        rows = _CountedRows(
-            (1 << u) | (1 << v) | (1 << w) for u, v, w in rainbow_connected_triples(g)
-        )
+        rows = _CountedRows(rainbow_connected_triples(g))
         assert (g.n, len(rows)) == (78, 102)
-        assert solver._exact_cover(g.all_vertices_mask, rows) is None
+        assert solver._exact_cover(g.n, rows) is None
         assert rows.reads <= 100
 
     def test_shared_unions_against_subset_scan(self):
@@ -1317,8 +1363,9 @@ class TestExactCover:
                 else:
                     if union == universe:
                         covers.add(tuple(i for i in range(len(rows)) if mask >> i & 1))
-            got = solver._exact_cover(universe, rows)
-            assert got == _first_cover(universe, rows), (universe, rows)
+            item_rows = [_item_tuple(r) for r in rows]
+            got = solver._exact_cover(items, item_rows)
+            assert got == _first_cover(frozenset(range(items)), item_rows), (items, rows)
             if got is None:
                 assert not covers, (universe, rows)
             else:
@@ -1348,7 +1395,7 @@ class TestExactCover:
                 if sum(rows[i] for i in sub) == universe
                 and all(not rows[i] & rows[j] for i, j in combinations(sub, 2))
             ]
-            got = solver._exact_cover(universe, rows)
+            got = solver._exact_cover(items, [_item_tuple(r) for r in rows])
             if got is None:
                 assert not covers, (universe, rows)
             else:
@@ -1368,6 +1415,20 @@ class TestRainbowTriples:
                 for v in pv
                 for w in pw
                 if ((u, v) in es) + ((u, w) in es) + ((v, w) in es) >= 2
+            ]
+            assert rainbow_connected_triples(g) == want
+
+    def test_past_q2_against_definition(self):
+        # the candidate pairs of each u come from its neighbourhood; the
+        # triples and their order must still be those of the definition
+        for g in _past_q2_family():
+            pu, pv, pw = g.parts()
+            want = [
+                (u, v, w)
+                for u in pu
+                for v in pv
+                for w in pw
+                if sum(e in g.edge_set for e in combinations(sorted((u, v, w)), 2)) >= 2
             ]
             assert rainbow_connected_triples(g) == want
 
@@ -1410,6 +1471,30 @@ class TestDecideProblem1:
             h.update(repr(solve_problem1(g)).encode())
         assert h.hexdigest() == (
             "a6c7a433af0733974ed6835a70f55c0a97b752d7f1347680151e229e058a0399"
+        )
+
+    def test_partitions_past_q2(self):
+        # each partition holds rainbow triples with at least two edges
+        # and covers every vertex once; the partitions found are pinned,
+        # and at q <= 4 their existence is checked against the oracle
+        h = hashlib.sha256()
+        answers = Counter()
+        for g in _past_q2_family():
+            part = solve_problem1(g)
+            h.update(repr(part).encode())
+            answers[part is not None] += 1
+            if g.part_size() <= 4:
+                assert (part is not None) == oracles.problem1_by_permutations(g)
+            if part is None:
+                continue
+            assert sorted(v for t in part for v in t) == list(range(g.n))
+            for t in part:
+                assert sorted(g.part_tag[v] for v in t) == [0, 1, 2]
+                pairs = combinations(sorted(t), 2)
+                assert sum(e in g.edge_set for e in pairs) >= 2, (g, t)
+        assert min(answers[True], answers[False]) >= 20, answers
+        assert h.hexdigest() == (
+            "9fed5df4c59d430b0c999f3686057460d68ebd9d7b8d57d25aaab34fd30c1bc6"
         )
 
 
