@@ -135,54 +135,66 @@ def _partition_bound(g: Graph, terminals: Sequence[int], stop: int = 0) -> int:
     per terminal.  Each S-tree joins the parts, so it holds at least
     |S| - 1 cross edges.  The partition starts by giving every vertex to
     its nearest terminal (breadth-first from all terminals at once, ties
-    to the terminal that reaches it first); vertices that no terminal
-    reaches stay out of every part, and no edge joins them to one.  A
-    local search then moves each non-terminal in turn to the part that
-    holds most of its neighbours while that cuts fewer edges, until no
-    move does.  Terminals never move, so every part keeps its terminal
-    and each partition passed is one the bound holds for.  The value is
-    returned as soon as it falls below ``stop``, before or during the
-    local search; with the default of 0 the local search runs to its
-    end."""
-    owner = [-1] * g.n
-    for t in terminals:
-        owner[t] = t
-    queue = list(terminals)
-    head = 0
+    to the terminal that reaches it first, a vertex's unseen neighbours
+    taken as one mask); vertices that no terminal reaches stay out of
+    every part, and no edge joins them to one.  Each cross edge is in the
+    cuts of two parts, a part's cut being the XOR of its vertices'
+    incidence masks.  A local search then moves each non-terminal in
+    turn to the part that holds most of its neighbours while that cuts
+    fewer edges, until no move does.  Terminals never move, so every
+    part keeps its terminal and each partition passed is one the bound
+    holds for.  A vertex's best move depends only on the parts of its
+    neighbours, and right after a move it has none, so it is scored
+    again only once a neighbour has moved (the ``dirty`` mask): the moves
+    are those of scoring every vertex in every sweep.  A vertex with no
+    more neighbours outside its part than inside has no move either.
+    The value is returned as soon as it falls below ``stop``, before or
+    during the local search; with the default of 0 the local search runs
+    to its end."""
     adj = g.adjacency
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        nb = adj[v]
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            w = b.bit_length() - 1
-            if owner[w] < 0:
-                owner[w] = owner[v]
-                queue.append(w)
+    inc = g.incident
+    owner = [0] * g.n
+    part = [1 << t for t in terminals]
+    cut = [0] * len(terminals)
+    s_mask = seen = _mask_of(terminals)
+    order = []
+    queue = list(enumerate(part))  # (part, the vertices it takes together)
+    for i, batch in queue:
+        while batch:
+            b = batch & -batch
+            batch ^= b
+            v = b.bit_length() - 1
+            order.append(v)
+            owner[v] = i
+            cut[i] ^= inc[v]
+            new = adj[v] & ~seen
+            if new:
+                seen |= new
+                part[i] |= new
+                queue.append((i, new))
     parts = len(terminals) - 1
-    cross = sum(1 for u, v in g.edges if owner[u] != owner[v])
+    cross = sum(c.bit_count() for c in cut) >> 1
     # the value is below stop exactly when cross is below this
     low = stop * parts
     if cross < low:
         return cross // parts
-    part = dict.fromkeys(terminals, 0)
-    for v in queue:
-        part[owner[v]] |= 1 << v
-    movable = queue[len(terminals):]  # the non-terminals reached
-    moved = True
-    while moved:
-        moved = False
+    movable = order[len(terminals):]  # the non-terminals reached
+    free = dirty = seen ^ s_mask
+    while dirty:
         for v in movable:
+            if not dirty >> v & 1:
+                continue
+            dirty ^= 1 << v
             nb = adj[v]
             here = best = owner[v]
             stay = (nb & part[here]).bit_count()
+            if 2 * stay >= nb.bit_count():
+                continue
             gain = 0
-            for t, mask in part.items():
+            for i, mask in enumerate(part):
                 d = (nb & mask).bit_count() - stay
                 if d > gain:
-                    best, gain = t, d
+                    best, gain = i, d
             if gain:
                 part[here] ^= 1 << v
                 part[best] |= 1 << v
@@ -190,7 +202,7 @@ def _partition_bound(g: Graph, terminals: Sequence[int], stop: int = 0) -> int:
                 cross -= gain
                 if cross < low:
                     return cross // parts
-                moved = True
+                dirty |= nb & free
     return cross // parts
 
 

@@ -90,7 +90,9 @@ class Graph(_Value):
     and every edge must join two distinct parts.
     """
 
-    # ``__dict__`` holds the cached ``edge_set``.
+    # ``__dict__`` holds the cached ``edge_set`` and, for a tripartite
+    # graph, ``_parts``: the vertices of each part, built while the tags
+    # are validated.  Neither is a field.
     __slots__ = ("n", "edges", "part_tag", "adjacency", "incident", "__dict__")
     _fields = ("n", "edges", "part_tag")
 
@@ -131,9 +133,12 @@ class Graph(_Value):
         if part_tag is not None:
             if len(part_tag) != n:
                 raise GraphError(f"part tags cover {len(part_tag)} of {n} vertices")
+            parts: tuple[list[int], ...] = ([], [], [])
             for v, p in enumerate(part_tag):
                 if p not in (0, 1, 2):
                     raise GraphError(f"vertex {v} has invalid part {p}")
+                parts[p].append(v)
+            _set(self, "_parts", tuple(map(tuple, parts)))
             for u, v in edges:
                 if part_tag[u] == part_tag[v]:
                     raise GraphError(
@@ -182,16 +187,13 @@ class Graph(_Value):
         """Vertices of each part, sorted; requires a tripartition tag."""
         if self.part_tag is None:
             raise GraphError("graph carries no tripartition")
-        out: tuple[list[int], ...] = ([], [], [])
-        for v, p in enumerate(self.part_tag):
-            out[p].append(v)
-        return tuple(tuple(p) for p in out)
+        return self._parts
 
     def part_size(self) -> int:
         """The common size q of the three parts; unequal parts raise."""
         if self.part_tag is None:
             raise GraphError("graph carries no tripartition")
-        sizes = tuple(self.part_tag.count(p) for p in range(3))
+        sizes = tuple(map(len, self._parts))
         if len(set(sizes)) != 1:
             raise GraphError(f"parts have sizes {sizes}, expected equal")
         return sizes[0]

@@ -122,9 +122,19 @@ def _guard(name: str, value: int, limit: int) -> None:
 
 
 def _subsets(items: list) -> Iterator[tuple]:
-    """Every subset of ``items``, by ascending bit mask."""
-    for mask in range(1 << len(items)):
-        yield tuple(x for i, x in enumerate(items) if (mask >> i) & 1)
+    """Every subset of ``items``, in item order, by ascending bit mask
+    (bit i for ``items[i]``): the subsets of the low and of the high half,
+    each built once by doubling, joined with the high half in the outer
+    loop, so k items keep O(2^(k/2)) tuples in memory."""
+    half = len(items) // 2
+    lows, highs = [()], [()]
+    for x in items[:half]:
+        lows += [s + (x,) for s in lows]
+    for x in items[half:]:
+        highs += [s + (x,) for s in highs]
+    for hi in highs:
+        for lo in lows:
+            yield lo + hi
 
 
 def gen_connected_graphs(max_n: int) -> Iterator[Graph]:

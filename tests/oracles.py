@@ -8,6 +8,7 @@ here shares search logic with the package's solver.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 from genconn.graphs import Graph, ThreeDMInstance
 
@@ -246,3 +247,70 @@ def max_packing(g: Graph, s: tuple[int, ...], mode: str, trees=None) -> int:
 
     extend(0, everything)
     return best
+
+
+def partition_bound_reference(g: Graph, terminals: Sequence[int], stop: int = 0) -> int:
+    """The edge-scan form of ``bounds._partition_bound``, against which
+    the mask form is checked.
+
+    ⌊cross edges / (|S| - 1)⌋ on a partition of V into |S| parts, one
+    per terminal.  Each S-tree joins the parts, so it holds at least
+    |S| - 1 cross edges.  The partition starts by giving every vertex to
+    its nearest terminal (breadth-first from all terminals at once, ties
+    to the terminal that reaches it first); vertices that no terminal
+    reaches stay out of every part, and no edge joins them to one.  A
+    local search then moves each non-terminal in turn to the part that
+    holds most of its neighbours while that cuts fewer edges, until no
+    move does.  Terminals never move, so every part keeps its terminal
+    and each partition passed is one the bound holds for.  The value is
+    returned as soon as it falls below ``stop``, before or during the
+    local search; with the default of 0 the local search runs to its
+    end."""
+    owner = [-1] * g.n
+    for t in terminals:
+        owner[t] = t
+    queue = list(terminals)
+    head = 0
+    adj = g.adjacency
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        nb = adj[v]
+        while nb:
+            b = nb & -nb
+            nb ^= b
+            w = b.bit_length() - 1
+            if owner[w] < 0:
+                owner[w] = owner[v]
+                queue.append(w)
+    parts = len(terminals) - 1
+    cross = sum(1 for u, v in g.edges if owner[u] != owner[v])
+    # the value is below stop exactly when cross is below this
+    low = stop * parts
+    if cross < low:
+        return cross // parts
+    part = dict.fromkeys(terminals, 0)
+    for v in queue:
+        part[owner[v]] |= 1 << v
+    movable = queue[len(terminals):]  # the non-terminals reached
+    moved = True
+    while moved:
+        moved = False
+        for v in movable:
+            nb = adj[v]
+            here = best = owner[v]
+            stay = (nb & part[here]).bit_count()
+            gain = 0
+            for t, mask in part.items():
+                d = (nb & mask).bit_count() - stay
+                if d > gain:
+                    best, gain = t, d
+            if gain:
+                part[here] ^= 1 << v
+                part[best] |= 1 << v
+                owner[v] = best
+                cross -= gain
+                if cross < low:
+                    return cross // parts
+                moved = True
+    return cross // parts

@@ -66,6 +66,51 @@ class TestGraphInvariants:
         assert g.parts() == ((0,), (1,), (2,))
 
 
+class TestStoredParts:
+    """The parts are built while the tags are validated and kept off the
+    fields, so they change nothing a record's value depends on."""
+
+    @pytest.mark.parametrize("tag", [-1, 3])
+    def test_invalid_tag_raises_before_indexing(self, tag):
+        # -1 would index the last part
+        with pytest.raises(GraphError, match=f"vertex 1 has invalid part {tag}$"):
+            Graph(3, (), (0, tag, 2))
+
+    def test_messages(self):
+        g = Graph(3, ((0, 1),))
+        for call in (g.parts, g.part_size):
+            with pytest.raises(GraphError, match="^graph carries no tripartition$"):
+                call()
+        h = Graph(4, ((0, 2), (1, 3)), (0, 1, 2, 0))
+        assert h.parts() == ((0, 3), (1,), (2,))
+        with pytest.raises(
+            GraphError, match=r"^parts have sizes \(2, 1, 1\), expected equal$"
+        ):
+            h.part_size()
+
+    def test_value_does_not_depend_on_parts_being_read(self):
+        def build():
+            return Graph(6, ((0, 2), (1, 4), (3, 5)), (0, 0, 1, 1, 2, 2))
+
+        read, unread = build(), build()
+        assert read.parts() == ((0, 1), (2, 3), (4, 5))
+        assert read.part_size() == 2
+        assert read == unread and hash(read) == hash(unread)
+        for g in (read, unread):
+            for back in (pickle.loads(pickle.dumps(g)), copy.copy(g)):
+                assert back == read and hash(back) == hash(read)
+                assert back.parts() == read.parts()
+        assert Graph(6, read.edges) != read
+
+    def test_parts_are_read_only(self):
+        g = Graph(3, (), (0, 1, 2))
+        with pytest.raises(AttributeError):
+            g._parts = ((), (), ())
+        with pytest.raises(AttributeError):
+            del g._parts
+        assert g.parts() == ((0,), (1,), (2,))
+
+
 class TestIsConnected:
     def test_single_vertex(self):
         assert is_connected(Graph(1))

@@ -825,6 +825,46 @@ class TestPackingUpperBound:
             for l in range(best + 2):
                 assert decide_lambda_set(g, s, l) == (l <= best)
 
+    def test_partition_bound_matches_the_edge_scan(self):
+        # the mask search, the cut XOR and the dirty-vertex rescoring give
+        # the edge-scan reference's value at every stop, and the values
+        # are those of the edge-scan version itself
+        values = []
+        for g, s in _partition_cases():
+            for stop in range(6):
+                got = bounds._partition_bound(g, s, stop)
+                assert got == oracles.partition_bound_reference(g, s, stop), (
+                    g.edges, s, stop)
+                values.append(got)
+        assert len(values) == 6 * 16_446
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "4f380f756146bf2a2669a588d1df065e09cb2b6e875ee5b70b217363606a8c27")
+
+
+def _partition_cases():
+    """(graph, terminals) pairs for the partition bound: every connected
+    graph with n <= 5 and every terminal set of 3 or more, R2's 4,104
+    apex graphs with their apex terminals, and 500 seeded graphs with
+    n = 6-14 and 3-6 terminals in random order, every fourth with its
+    last vertices cut off as a terminal-free part."""
+    for g in gen_connected_graphs(5):
+        for size in range(3, g.n + 1):
+            for s in combinations(range(g.n), size):
+                yield g, s
+    for q in (1, 2):
+        for g in gen_balanced_tripartite(q):
+            out = reduce_p1_to_kappa(g)
+            yield out.graph, out.terminals
+    rng = random.Random(27)
+    for i in range(500):
+        n = rng.randint(6, 14)
+        p = rng.uniform(0.15, 0.6)
+        c = rng.randint(3, n - 2) if i % 4 == 0 else n
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if (u < c) == (v < c) and rng.random() < p]
+        s = tuple(rng.sample(range(c), rng.randint(3, min(c, 6))))
+        yield Graph(n, edges), s
+
 
 def _seeded_graph(i: int) -> tuple[Graph, tuple[int, ...]]:
     """Graph i of the 150 seeded graphs: a random spanning tree on 7 to 9

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import types
 
 import pytest
 
@@ -14,6 +15,7 @@ from genconn.verify import (
     REDUCTION_NAMES,
     REDUCTIONS,
     VerifyBudget,
+    _subsets,
     gen_3dm,
     gen_balanced_tripartite,
     gen_cnf,
@@ -72,6 +74,35 @@ class TestGenerators:
     def test_tripartite_counts(self):
         assert sum(1 for _ in gen_balanced_tripartite(1)) == 8
         assert sum(1 for _ in gen_balanced_tripartite(2)) == 4096
+
+    def test_subsets_by_ascending_mask(self):
+        for k in range(16):
+            items = [chr(97 + i) for i in range(k)]
+            want = [
+                tuple(x for i, x in enumerate(items) if (mask >> i) & 1)
+                for mask in range(1 << k)
+            ]
+            assert list(_subsets(items)) == want, k
+
+    def test_subsets_is_lazy(self):
+        assert isinstance(_subsets(list(range(40))), types.GeneratorType)
+
+    @pytest.mark.parametrize("gen, count, digest", [
+        (lambda: gen_connected_graphs(5), 772,
+         "dc09a7192a7b7912e5f48b7500905e83380fcb6308f74c61605c9a3e5d3a46dd"),
+        (lambda: gen_balanced_tripartite(2), 4096,
+         "c64e96146ae4893f4dee6ddf5fa97f29fc016795fd4b330b5a379cc3c3dd5b63"),
+        (lambda: gen_3dm(2, 3), 95,
+         "b9185790e7a2b3ff3c90852aa1d2ec93f291c45100145e95a96cdb2c1012ef74"),
+    ], ids=["connected-5", "tripartite-2", "3dm-2-3"])
+    def test_sequences_pinned(self, gen, count, digest):
+        # sha256 over the repr of each record, in generation order
+        h = hashlib.sha256()
+        n = 0
+        for x in gen():
+            h.update(repr(x).encode())
+            n += 1
+        assert (n, h.hexdigest()) == (count, digest)
 
     @pytest.mark.parametrize("q", [0, 3])
     def test_tripartite_guard(self, q):
