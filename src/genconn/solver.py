@@ -76,9 +76,8 @@ masks, cached components and the branch order.
 The search runs on an explicit stack of frames, one per node on the
 current path, so no function here recurses and a search may go as deep
 as memory allows.  It takes the graph as it is: a run of degree-2
-non-terminals is searched one item at a time, and each of its nodes finds
-its candidates by an OR over the growing component, which can hold the
-whole run, so a long run costs time quadratic in its length.
+non-terminals is searched one item at a time, each node finding its
+candidates in the masks that its components keep.
 """
 
 from __future__ import annotations
@@ -248,13 +247,14 @@ def _search_trees(
     Each color's terminal components are kept in order of least terminal
     and updated as items join: the components an item touches (its
     endpoints, or a vertex and its ``base`` neighbours) merge at the place
-    of the first one.  The candidates of a component are a mask: the free,
-    unbanned vertex items next to it (the OR of ``adj`` over it) and edge
-    items leaving it (the XOR of ``inc`` over it).  The candidates in the
-    color's support are tried first, then the rest, each group in id
-    order: the support is current after the prune, so the first branches
-    follow paths that still reach the missing terminals, and the order
-    costs no walk.
+    of the first one.  A component is (vertices, near, cut): its vertex
+    mask, the OR of ``adj`` and the XOR of ``inc`` over it, which ``merge``
+    keeps.  Its candidates are the free, unbanned vertex items in ``near``
+    and edge items in ``cut``, one mask however large it is.  The
+    candidates in the color's support are tried first, then the rest, each
+    group in id order: the support is current after the prune, so the
+    first branches follow paths that still reach the missing terminals,
+    and the order costs no walk.
 
     The search runs on an explicit stack with one frame per node on the
     current path: the target color, its ban and component list as the
@@ -275,7 +275,7 @@ def _search_trees(
     ban = [0] * l
     free = vert_items | (edge_items << off)
     # Component lists are replaced, never changed in place.
-    comps = [[1 << t for t in terminals]] * l
+    comps = [[(1 << t, adj[t], inc[t]) for t in terminals]] * l
     # Items that, with the shared part, connect a color's terminals; at
     # the first node every color may use every item, so one walk serves all.
     found = _paths(base, inc, edges, 1 << t0, s_mask, shared_v | vert_items, edge_items)
@@ -283,41 +283,39 @@ def _search_trees(
         return None
     support = [(found[0] & vert_items) | ((found[1] & edge_items) << off)] * l
 
-    def merge(cl: list[int], x: int) -> list[int]:
+    def merge(cl: list[tuple], x: int) -> list[tuple]:
         """``cl`` after item x joins the color: the components x touches
-        merge into one, at the place of the first."""
+        merge into one, at the place of the first: their ``near`` masks
+        ORed, their ``cut`` masks XORed, and the ``adj`` and ``inc`` of
+        each vertex x brings in (x, or an edge's far endpoint) added."""
         if x < off:
-            add = 1 << x
-            touch = add | base[x]
+            new = 1 << x
+            touch = new | base[x]
         else:
             u, v = edges[x - off]
-            add = touch = (1 << u) | (1 << v)
+            new = touch = (1 << u) | (1 << v)
         out = []
         at = -1
+        verts = near = cut = 0
         for c in cl:
-            if c & touch:
-                add |= c
-                if at < 0:
-                    at = len(out)
-                    out.append(0)
-            else:
-                out.append(c)
-        out[at] = add
+            if c[0] & touch:
+                verts |= c[0]
+                near |= c[1]
+                cut ^= c[2]
+                if at >= 0:
+                    continue
+                at = len(out)
+            out.append(c)
+        new &= ~verts
+        while new:
+            b = new & -new
+            new ^= b
+            w = b.bit_length() - 1
+            verts |= b
+            near |= adj[w]
+            cut ^= inc[w]
+        out[at] = (verts, near, cut)
         return out
-
-    def component_cands(i: int, k: int) -> int:
-        """Mask of the free items color i may attach to component k: the
-        vertex items next to k and the edge items with one endpoint in k."""
-        near = 0
-        cut = 0
-        m = k
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            near |= adj[v]
-            cut ^= inc[v]
-        return ((near & vbits) | (cut << off)) & free & ~ban[i]
 
     stack = []  # frames: [target, saved ban, saved comps, order, next index]
 
@@ -345,10 +343,11 @@ def _search_trees(
             ]
         if edge_mode and needed > free.bit_count():
             return None
+        avail = free & ~ban[target]
         cands = 0
         fewest = -1
-        for k in comps[target]:
-            km = component_cands(target, k)
+        for _, near, cut in comps[target]:
+            km = ((near & vbits) | (cut << off)) & avail
             count = km.bit_count()
             if fewest == -1 or count < fewest:
                 if not count:

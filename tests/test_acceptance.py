@@ -13,6 +13,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from genconn import solver
 from genconn.graphs import Graph
 from genconn.io import parse_cnf
 from genconn.reductions import reduce_3dm_to_p1, reduce_3sat_to_lambda2
@@ -46,9 +47,28 @@ _REPORT_SHA256 = {
 }
 
 
+# solver._paths calls at the default budgets: the peel's trees and the
+# search's walks and trees; a search that keeps a component's candidates
+# wrongly moves them
+_WALKS = {"R2": 14577, "R3": 108576, "R4": 260, "R5": 16717, "R6": 640}
+
+
 def _assert_report_pinned(report) -> None:
     digest = hashlib.sha256(report.canonical_text().encode()).hexdigest()
     assert digest == _REPORT_SHA256[report.reduction_name], report.canonical_text()
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """One entry per ``solver._paths`` call made from now on."""
+    walks = []
+    paths = solver._paths
+
+    def counted(*args):
+        walks.append(1)
+        return paths(*args)
+
+    monkeypatch.setattr(solver, "_paths", counted)
+    return walks
 
 
 def _report(criterion: str, ok: bool, started: float, detail: str = "") -> None:
@@ -99,10 +119,11 @@ def test_criterion_02_oracle_equivalence():
     _report("criterion-2 oracle-equivalence", True, started, f"{checked} (g,S) pairs")
 
 
-def test_criterion_03_line_graph_reduction():
+def test_criterion_03_line_graph_reduction(monkeypatch):
     """lambda_g(S) = kappa_G'(S) for all connected n <= 5, 2 <= |S| <= 4;
     witnesses on both sides re-verified inside the harness."""
     started = time.perf_counter()
+    walks = _count_walks(monkeypatch)
     report = verify_reduction("R3")
     ok = report.passed
     _report("criterion-3 line-graph-reduction", ok, started,
@@ -113,20 +134,23 @@ def test_criterion_03_line_graph_reduction():
     )
     assert ok, report.text()
     _assert_report_pinned(report)
+    assert len(walks) == _WALKS["R3"]
 
 
-def test_criterion_04_apex_reduction():
+def test_criterion_04_apex_reduction(monkeypatch):
     """decide_problem1(g) iff decide_kappa_set(G', {a,b,c}, q) over all
     tripartite graphs with q <= 2."""
     started = time.perf_counter()
+    walks = _count_walks(monkeypatch)
     report = verify_reduction("R2")
     _report("criterion-4 apex-reduction", report.passed, started,
             f"{report.instances_checked} instances")
     assert report.passed, report.text()
     _assert_report_pinned(report)
+    assert len(walks) == _WALKS["R2"]
 
 
-def test_criterion_05_sat_reduction():
+def test_criterion_05_sat_reduction(monkeypatch):
     """decide_3sat(phi) iff decide_lambda_set(G_phi, S, 2) over the
     exhaustive family n <= 2, m <= 2 plus 200 seeded random 3-CNFs with
     n <= 3, m <= 3.
@@ -135,11 +159,13 @@ def test_criterion_05_sat_reduction():
     confirmed by the brute-force packing oracle before the test fails.
     """
     started = time.perf_counter()
+    walks = _count_walks(monkeypatch)
     report = verify_reduction("R5", VerifyBudget(max_n=3, max_m=3, samples=200))
     if report.passed:
         _report("criterion-5 sat-reduction", True, started,
                 f"{report.instances_checked} instances")
         _assert_report_pinned(report)
+        assert len(walks) == _WALKS["R5"]
         return
 
     confirmed = []
@@ -167,11 +193,13 @@ def test_criterion_05_sat_reduction():
     )
 
 
-def test_criterion_06_expansion_reductions():
+def test_criterion_06_expansion_reductions(monkeypatch):
     """Threshold expansion for l in {3,4} and terminal expansion for
     k in {4,5}, l in {2,3}: iff-equivalence on all connected n <= 4."""
     started = time.perf_counter()
+    walks = _count_walks(monkeypatch)
     r4 = verify_reduction("R4")
+    r4_walks = len(walks)
     r6 = verify_reduction("R6")
     ok = r4.passed and r6.passed
     _report("criterion-6 expansion-reductions", ok, started,
@@ -180,6 +208,8 @@ def test_criterion_06_expansion_reductions():
     assert r6.passed, r6.text()
     _assert_report_pinned(r4)
     _assert_report_pinned(r6)
+    assert r4_walks == _WALKS["R4"]
+    assert len(walks) - r4_walks == _WALKS["R6"]
 
 
 def test_criterion_07_gadget_counting():

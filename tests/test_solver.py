@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from typing import Sequence
@@ -595,6 +596,39 @@ class TestPackingAgainstOracle:
                     assert _leaves_are_terminals(rk, s), (g.edges, s)
                     assert _leaves_are_terminals(rl, s), (g.edges, s)
 
+    def test_seeded_n6_to_n8(self, monkeypatch):
+        # 100 seeded graphs past the exhaustive n <= 5: a random spanning
+        # tree on 6 to 8 vertices plus 4 to 7 other pairs, 3 or 4
+        # terminals; both maxima and the decisions at the value and one
+        # above; 22 of the 600 questions reach the search
+        calls = _count_searches(monkeypatch)
+        rng = random.Random(1)
+        searched = 0
+        for _ in range(100):
+            n = rng.randint(6, 8)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            others = [e for e in combinations(range(n), 2) if e not in edges]
+            edges.update(rng.sample(others, rng.randint(4, 7)))
+            g = Graph(n, tuple(sorted(edges)))
+            s = tuple(sorted(rng.sample(range(n), rng.randint(3, 4))))
+            trees = oracles.all_stein_trees(g, s)
+            for mode, vertex_mode, maximum, decide in (
+                ("vertex", True, kappa_set, decide_kappa_set),
+                ("edge", False, lambda_set, decide_lambda_set),
+            ):
+                best = oracles.max_packing(g, s, mode, trees)
+                before = len(calls)
+                res = maximum(g, s)
+                searched += len(calls) > before
+                assert res.value == best, (g.edges, s, mode)
+                assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
+                assert _leaves_are_terminals(res, s), (g.edges, s, mode)
+                for l, answer in ((best, True), (best + 1, False)):
+                    before = len(calls)
+                    assert decide(g, s, l) == answer, (g.edges, s, mode, l)
+                    searched += len(calls) > before
+        assert searched == 22
+
 
 def _members(mask: int) -> set[int]:
     return {x for x in range(mask.bit_length()) if (mask >> x) & 1}
@@ -1065,26 +1099,41 @@ class TestLongCycle:
 
     # Three terminals of K4 with every edge made a path of 251 edges: the
     # search takes the paths one vertex at a time, deeper than the default
-    # recursion limit, and each node finds its candidates by an OR over
-    # the growing component, so it is quadratic in their length
+    # recursion limit.  Each node reads its candidates from the masks its
+    # components keep, so with the peel patched out the decision at 2 on
+    # 501-edge paths takes about 0.04 s; a node that re-read each vertex
+    # of its component would make it quadratic in their length, 0.5 s
     @pytest.mark.parametrize("maximum, decide, vertex_mode", [
         (kappa_set, decide_kappa_set, True),
         (lambda_set, decide_lambda_set, False),
     ])
-    def test_three_terminals(self, maximum, decide, vertex_mode):
-        edges = []
-        n = 4
-        for u, v in K4.edges:
-            path = [u, *range(n, n + 250), v]
-            edges += zip(path, path[1:])
-            n += 250
-        g = Graph.from_edges(n, edges)
+    def test_three_terminals(self, maximum, decide, vertex_mode, monkeypatch):
+        g = _k4_paths(250)
         s = (0, 1, 2)
         res = maximum(g, s)
         assert res.value == 2
         assert verify_packing_result(g, s, res, vertex_mode=vertex_mode)
         assert decide(g, s, 2)
         assert not decide(g, s, 3)
+        monkeypatch.setattr(solver, "_peel", lambda *args: [])
+        g = _k4_paths(500)
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert decide(g, s, 2)
+            times.append(time.perf_counter() - started)
+        assert min(times) < 0.25, times
+
+
+def _k4_paths(inner: int) -> Graph:
+    """K4 with every edge made a path through ``inner`` new vertices."""
+    edges = []
+    n = 4
+    for u, v in K4.edges:
+        path = [u, *range(n, n + inner), v]
+        edges += zip(path, path[1:])
+        n += inner
+    return Graph.from_edges(n, edges)
 
 
 def _circular_ladder(n: int) -> Graph:
