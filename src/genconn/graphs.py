@@ -312,7 +312,8 @@ class ReductionOutput(_Value):
 
     ``gadget_map`` names each constructed vertex by its role in the
     construction; roles are unique within one output.  It is stored as a
-    read-only copy of the map given, an empty one by default.
+    read-only copy of the map or the (vertex, role) pairs given, an empty
+    one by default.
     ``threshold`` is None for value-preserving constructions that carry no
     decision bound.
     """
@@ -329,7 +330,7 @@ class ReductionOutput(_Value):
         graph: Graph,
         terminals: Iterable[int] = (),
         threshold: int | None = None,
-        gadget_map: Mapping[int, str] | None = None,
+        gadget_map: Mapping[int, str] | Iterable[tuple[int, str]] | None = None,
     ) -> None:
         gadget_map = _FrozenDict(gadget_map or ())
         terminals = tuple(terminals)

@@ -24,10 +24,20 @@ serialized outputs are reproducible byte for byte.
 After each construction, ``size_<construction>`` takes the builder's
 arguments and gives the output's shape in closed form, keyed as in
 :func:`measure`.  The verification harness compares the two.
+
+The harness builds every terminal set of a host in a row, so two
+builders memoize the part that does not read the terminal set, keyed
+by exactly what it reads: the line-graph augmentation keeps its last
+host's graph and roles, and terminal expansion keeps a bounded number
+of hub blocks keyed by (n, min S, l, k).  The other four do not: the
+harness never repeats an input of the matching, partition or
+satisfiability constructions, and threshold expansion's proxy block
+reads the whole terminal set.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -153,6 +163,15 @@ def reduce_lambda_to_kappa(g: Graph, s: Iterable[int]) -> ReductionOutput:
     with line-graph adjacencies and vertex-edge incidences; terminals are
     unchanged and lambda_g(S) equals kappa of the new graph at S."""
     terminals = _check_terminals(g, s)
+    out, roles = _line_graph_augmentation(g)
+    return ReductionOutput(out, terminals, None, roles)
+
+
+@lru_cache(maxsize=1)
+def _line_graph_augmentation(g: Graph) -> tuple[Graph, tuple[tuple[int, str], ...]]:
+    """The augmented graph of :func:`reduce_lambda_to_kappa` and its
+    (vertex, role) pairs, which read only the host.  A disconnected host
+    raises, and lru_cache stores no exception, so it raises every time."""
     if not is_connected(g):
         raise GraphError("line-graph reduction requires a connected input")
     n, m = g.n, g.m
@@ -160,9 +179,7 @@ def reduce_lambda_to_kappa(g: Graph, s: Iterable[int]) -> ReductionOutput:
     for j, (u, v) in enumerate(g.edges):
         edges.append((u, n + j))
         edges.append((v, n + j))
-    out = Graph(n + m, tuple(edges))
-    roles = {n + j: f"e{j}" for j in range(m)}
-    return ReductionOutput(out, terminals, None, roles)
+    return Graph(n + m, tuple(edges)), tuple((n + j, f"e{j}") for j in range(m))
 
 
 def size_lambda_to_kappa(g: Graph, s: Iterable[int]) -> dict[str, object]:
@@ -184,21 +201,32 @@ def reduce_lambda3_to_lambdak(
         raise GraphError(f"target arity k={k} must be at least 4")
     if l < 2:
         raise GraphError(f"threshold l={l} must be at least 2")
-    v1 = terminals[0]
-    edges = list(g.edges)
-    roles: dict[int, str] = {}
+    hub_edges, roles, hubs = _hub_block(g.n, terminals[0], l, k)
+    out = Graph(g.n + (k - 3) * (l + 1), g.edges + hub_edges)
+    return ReductionOutput(out, terminals + hubs, l, roles)
+
+
+@lru_cache(maxsize=32)
+def _hub_block(
+    n: int, v1: int, l: int, k: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, str], ...], tuple[int, ...]]:
+    """The edges, (vertex, role) pairs and hub ids that
+    :func:`reduce_lambda3_to_lambdak` adds to a host of order n whose first
+    terminal is v1.  Every spoke is at least n > v1, so each edge is
+    already ordered."""
+    edges = []
+    roles = []
     hubs = []
     for i in range(k - 3):
-        hub = g.n + i * (l + 1)
+        hub = n + i * (l + 1)
         hubs.append(hub)
-        roles[hub] = f"a{i + 1}"
+        roles.append((hub, f"a{i + 1}"))
         for jj in range(1, l + 1):
             spoke = hub + jj
-            roles[spoke] = f"a{i + 1}_{jj}"
-            edges.append((min(v1, spoke), max(v1, spoke)))
+            roles.append((spoke, f"a{i + 1}_{jj}"))
+            edges.append((v1, spoke))
             edges.append((hub, spoke))
-    out = Graph(g.n + (k - 3) * (l + 1), tuple(edges))
-    return ReductionOutput(out, terminals + tuple(hubs), l, roles)
+    return tuple(edges), tuple(roles), tuple(hubs)
 
 
 def size_lambda3_to_lambdak(

@@ -215,7 +215,11 @@ def max_packing(g: Graph, s: tuple[int, ...], mode: str, trees=None) -> int:
     non-terminal vertex.  Each tree's compatible trees are one bitmask
     over the tree list: all trees less those that hold one of its items.
     ``trees`` is ``all_stein_trees(g, s)``, enumerated here when omitted;
-    a caller asking for both modes can enumerate once and pass it."""
+    a caller asking for both modes can enumerate once and pass it.
+
+    Every S-tree holds an edge at each terminal, and compatible trees
+    share no edge, so no packing is larger than the least terminal
+    degree: the search stops once it has one that large."""
     if trees is None:
         trees = all_stein_trees(g, s)
     sset = frozenset(s)
@@ -234,13 +238,14 @@ def max_packing(g: Graph, s: tuple[int, ...], mode: str, trees=None) -> int:
         compatible.append(everything & ~clash)
 
     best = 0
+    cap = min((g.degree(t) for t in s), default=len(trees))
 
     def extend(chosen_count: int, candidates: int) -> None:
         nonlocal best
         best = max(best, chosen_count)
         if chosen_count + candidates.bit_count() <= best:
             return
-        while candidates:
+        while candidates and best < cap:
             low = candidates & -candidates
             candidates ^= low
             extend(chosen_count + 1, candidates & compatible[low.bit_length() - 1])

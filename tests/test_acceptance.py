@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from genconn import solver
+from genconn import reductions, solver
 from genconn.graphs import Graph
 from genconn.io import parse_cnf
 from genconn.reductions import reduce_3dm_to_p1, reduce_3sat_to_lambda2
@@ -51,6 +51,11 @@ _REPORT_SHA256 = {
 # search's walks and trees; a search that keeps a component's candidates
 # wrongly moves them
 _WALKS = {"R2": 14577, "R3": 108576, "R4": 260, "R5": 16717, "R6": 640}
+
+# (hits, misses) of the builders' memos at the default budgets: R3 builds
+# each of the 771 hosts with n >= 2 once, R4 each (n, min S, l, k) once; a
+# change that reorders the cases or defeats a memo moves them
+_MEMO = {"R3": (17864, 771), "R4": (612, 12)}
 
 
 def _assert_report_pinned(report) -> None:
@@ -124,7 +129,10 @@ def test_criterion_03_line_graph_reduction(monkeypatch):
     witnesses on both sides re-verified inside the harness."""
     started = time.perf_counter()
     walks = _count_walks(monkeypatch)
+    memo = reductions._line_graph_augmentation
+    memo.cache_clear()
     report = verify_reduction("R3")
+    memo_counts = memo.cache_info()[:2]
     ok = report.passed
     _report("criterion-3 line-graph-reduction", ok, started,
             f"{report.instances_checked} instances")
@@ -135,6 +143,7 @@ def test_criterion_03_line_graph_reduction(monkeypatch):
     assert ok, report.text()
     _assert_report_pinned(report)
     assert len(walks) == _WALKS["R3"]
+    assert memo_counts == _MEMO["R3"]
 
 
 def test_criterion_04_apex_reduction(monkeypatch):
@@ -198,8 +207,11 @@ def test_criterion_06_expansion_reductions(monkeypatch):
     k in {4,5}, l in {2,3}: iff-equivalence on all connected n <= 4."""
     started = time.perf_counter()
     walks = _count_walks(monkeypatch)
+    memo = reductions._hub_block
+    memo.cache_clear()
     r4 = verify_reduction("R4")
     r4_walks = len(walks)
+    memo_counts = memo.cache_info()[:2]
     r6 = verify_reduction("R6")
     ok = r4.passed and r6.passed
     _report("criterion-6 expansion-reductions", ok, started,
@@ -210,6 +222,7 @@ def test_criterion_06_expansion_reductions(monkeypatch):
     _assert_report_pinned(r6)
     assert r4_walks == _WALKS["R4"]
     assert len(walks) - r4_walks == _WALKS["R6"]
+    assert memo_counts == _MEMO["R4"]
 
 
 def test_criterion_07_gadget_counting():

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from genconn import reductions
 from genconn.graphs import CnfFormula, Graph, GraphError, ThreeDMInstance
 from genconn.reductions import (
     reduce_3dm_to_p1,
@@ -201,6 +202,81 @@ class TestTerminalExpansion:
             reduce_lambda3_to_lambdak(K4, (0, 1), 2, 4)
         with pytest.raises(GraphError, match="l="):
             reduce_lambda3_to_lambdak(K4, (0, 1, 2), 1, 4)
+
+
+def _fields(out):
+    g = out.graph
+    return (g.n, g.edges, g.part_tag, g.adjacency, g.incident,
+            out.terminals, out.threshold, dict(out.gadget_map))
+
+
+def _plain(value) -> bool:
+    """True when ``value`` holds only tuples, ints, strs and graphs."""
+    if isinstance(value, tuple):
+        return all(map(_plain, value))
+    return isinstance(value, (int, str, Graph))
+
+
+class TestMemo:
+    # R3 and R4 keep what they build from the host alone, keyed by what it
+    # reads.  Each case is built in the harness's order with the memo kept,
+    # then again right after emptying the memo; the two must be equal
+
+    @staticmethod
+    def _check(memo, build, cases) -> int:
+        memo.cache_clear()
+        kept = [_fields(build(*args)) for args in cases]
+        hits = memo.cache_info().hits
+        for args, fields in zip(cases, kept):
+            memo.cache_clear()
+            assert fields == _fields(build(*args)), args
+        return hits
+
+    def test_line_graph_memo_matches_a_fresh_build(self):
+        from genconn.verify import gen_connected_graphs
+
+        cases = [(g, s) for g in gen_connected_graphs(5)
+                 for size in range(2, g.n + 1) for s in combinations(range(g.n), size)]
+        hits = self._check(reductions._line_graph_augmentation, reduce_lambda_to_kappa, cases)
+        assert len(cases) - hits == 1 + 4 + 38 + 728  # one build per host
+
+    def test_hub_block_memo_matches_a_fresh_build(self):
+        from genconn.verify import gen_connected_graphs
+
+        cases = [(g, s, l, k) for g in gen_connected_graphs(4)
+                 for s in combinations(range(g.n), 3) for l in (2, 3) for k in (4, 5)]
+        hits = self._check(reductions._hub_block, reduce_lambda3_to_lambdak, cases)
+        assert len(cases) - hits == 4 * (1 + 2)  # one per (n, min S, l, k)
+
+    def test_disconnected_host_raises_around_a_cached_call(self):
+        split = Graph(3, ((0, 1),))
+        reductions._line_graph_augmentation.cache_clear()
+        for _ in range(2):
+            with pytest.raises(GraphError, match="connected"):
+                reduce_lambda_to_kappa(split, (0, 1))
+            reduce_lambda_to_kappa(P3, (0, 2))
+        with pytest.raises(GraphError, match="connected"):
+            reduce_lambda_to_kappa(split, (0, 1))
+        # the terminal set is still checked first
+        with pytest.raises(GraphError, match="at least two"):
+            reduce_lambda_to_kappa(split, (0,))
+
+    def test_memos_are_bounded(self):
+        for memo in (reductions._line_graph_augmentation, reductions._hub_block):
+            assert memo.cache_parameters()["maxsize"] is not None, memo
+
+    def test_memos_hand_out_no_mutable_object(self):
+        outs = [reduce_lambda_to_kappa(K4, (0, 1)), reduce_lambda_to_kappa(K4, (2, 3)),
+                reduce_lambda3_to_lambdak(K4, (0, 1, 2), 2, 5),
+                reduce_lambda3_to_lambdak(K4, (0, 2, 3), 2, 5)]
+        assert _plain(reductions._line_graph_augmentation(K4))
+        assert _plain(reductions._hub_block(4, 0, 2, 5))
+        # outputs built from one memo entry each hold their own read-only
+        # copy of its roles
+        assert outs[0].gadget_map is not outs[1].gadget_map
+        assert outs[2].gadget_map is not outs[3].gadget_map
+        with pytest.raises(TypeError):
+            outs[0].gadget_map[0] = "x"
 
 
 class TestSatToPacking:
